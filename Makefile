@@ -1,6 +1,6 @@
 # Convenience targets around dune. `make check` is the tier-1 gate CI runs.
 
-.PHONY: all build test check clean examples bench bench-json audit profile fuzz fleet tval replay rerand jit
+.PHONY: all build test check clean examples bench bench-json audit profile fuzz fleet tval replay rerand jit determinism
 
 all: build
 
@@ -74,6 +74,37 @@ jit:
 	dune exec bin/experiments.exe -- jit --json-out jit_out.json
 
 check: build test audit profile fuzz fleet tval replay rerand jit
+
+# Serial-vs-parallel determinism of every JSON gate, at reduced configs:
+# each runs at R2C_JOBS=1 --jobs 1 and at R2C_JOBS=8 --jobs 8, everything
+# from ,"jobs": on (the volatile tail) is cut, and the rest must be
+# byte-identical. Exit 1 is a gate verdict and is accepted (the reduced
+# fleet campaign misses the >= 100k-request SLO by design); any other
+# exit code, or no JSON line, fails the target. Writes only to a
+# temporary directory.
+DETERMINISM_GATES = \
+	"fuzz --seed 11 --count 30" \
+	"fleet --seed 11 --requests 30000 --epoch-cycles 5000000" \
+	"tval --seed 3" \
+	"replay" \
+	"rerand --funcs 2000 --min-speedup 0" \
+	"jit --min-speedup 0"
+
+determinism: build
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for gate in $(DETERMINISM_GATES); do \
+	  name=$${gate%% *}; \
+	  for jobs in 1 8; do \
+	    out="$$tmp/$$name.$$jobs.json"; rm -f "$$out"; \
+	    R2C_JOBS=$$jobs dune exec bin/experiments.exe -- $$gate --jobs $$jobs --json-out "$$out"; \
+	    rc=$$?; \
+	    if [ $$rc -gt 1 ] || [ ! -s "$$out" ]; then \
+	      echo "determinism: $$name --jobs $$jobs exited $$rc without a report" >&2; exit 1; fi; \
+	    sed 's/,"jobs":.*$$//' "$$out" > "$$out.stripped"; \
+	  done; \
+	  diff "$$tmp/$$name.1.json.stripped" "$$tmp/$$name.8.json.stripped" || exit 1; \
+	  echo "determinism: $$name identical at --jobs 1 and --jobs 8"; \
+	done
 
 examples:
 	dune build examples

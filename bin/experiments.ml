@@ -3,6 +3,7 @@
    is the fine-grained interface. *)
 
 open Cmdliner
+module Gate = R2c_harness.Gate
 
 let seeds_term =
   let doc = "Compilation seeds for median-of-N runs (comma separated)." in
@@ -283,7 +284,41 @@ let profile_cmd =
           observed worker-pool timeline exported as Chrome trace JSON.")
     Term.(const run $ workload $ seed $ config $ top $ requests $ trace $ metrics)
 
+(* Every JSON gate below is one [Gate.t] over its own arguments; this
+   builder adds the shared --jobs/--json-out terms and runs it through
+   [Gate.exec]. *)
+let gate_cmd (g : ('a, 'r) Gate.t) (args : 'a Term.t) =
+  let jobs =
+    Arg.(
+      value & opt int 0
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:
+            "Domain-pool width (0 = auto: \\$R2C_JOBS or the recommended domain count; \
+             1 = serial). The report is identical at any width.")
+  in
+  let json_out =
+    Arg.(
+      value & opt (some string) None
+      & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the one-line JSON to FILE.")
+  in
+  let exec args jobs json_out =
+    Gate.exec ?json_out ~jobs:(if jobs > 0 then Some jobs else None) g args
+  in
+  Cmd.v (Cmd.info g.name ~doc:g.doc) Term.(const exec $ args $ jobs $ json_out)
+
+let wall_ms_field ~wall_ms _ = [ ("wall_ms", R2c_obs.Json.Float wall_ms) ]
+
+type fuzz_report = {
+  corpus_replayed : int;
+  replay_failures : (string * string) list;
+  campaign : R2c_fuzz.Campaign.report;
+  campaign_ms : float;
+  self_check : R2c_fuzz.Campaign.self_check option;
+}
+
 let fuzz_cmd =
+  let module J = R2c_obs.Json in
+  let module C = R2c_fuzz.Campaign in
   let seed =
     Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign master seed.")
   in
@@ -310,88 +345,86 @@ let fuzz_cmd =
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:"Corpus directory: replayed before the campaign; divergences are saved here.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for the campaign (0 = auto: \\$R2C_JOBS or the \
-             recommended domain count; 1 = serial). The report is identical at any \
-             width.")
-  in
-  let run seed count fuel self_check corpus jobs =
-    let module J = R2c_obs.Json in
-    let module C = R2c_fuzz.Campaign in
-    let jobs = if jobs <= 0 then None else Some jobs in
-    let effective_jobs =
-      match jobs with Some j -> j | None -> R2c_util.Parallel.default_jobs ()
-    in
+  let run (seed, count, fuel, self_check, corpus) ~jobs =
     (* Replay the persisted corpus first: known reproducers must stay fixed. *)
     let replay_failures = C.replay ~fuel ~dir:corpus () in
-    List.iter
-      (fun (path, why) -> Printf.eprintf "fuzz: corpus replay failed: %s: %s\n" path why)
-      replay_failures;
     let t0 = Unix.gettimeofday () in
-    let rep = C.run ~corpus_dir:corpus ~fuel ?jobs ~seed ~count () in
+    let campaign = C.run ~corpus_dir:corpus ~fuel ?jobs ~seed ~count () in
     let campaign_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let sc = if self_check then Some (C.self_check ~fuel ~seed ()) else None in
-    let sc_ok =
-      match sc with
-      | None -> true
-      | Some s -> s.C.caught && s.C.shrunk_size <= 10 && s.C.roundtrip_ok && s.C.still_fails
-    in
-    let summary =
-      J.Obj
-        ([
-           ("seed", J.Int rep.C.seed);
-           ("programs", J.Int rep.C.programs);
-           ("skipped", J.Int rep.C.skipped);
-           ("configs", J.Int (List.length R2c_fuzz.Oracle.matrix));
-           ("points_per_program", J.Int rep.C.points);
-           ("corpus_replayed", J.Int (List.length (R2c_fuzz.Corpus.files ~dir:corpus)));
-           ("corpus_failures", J.Int (List.length replay_failures));
-           ("jobs", J.Int effective_jobs);
-           ("campaign_wall_ms", J.Float campaign_ms);
-           ("divergences", J.Int rep.C.divergences);
-           ("reproducers",
-            J.Arr
-              (List.map
-                 (fun (path, size) ->
-                   J.Obj [ ("path", J.Str path); ("shrunk_size", J.Int size) ])
-                 rep.C.reproducers));
-         ]
-        @
-        match sc with
-        | None -> []
-        | Some s ->
-            [
-              ( "self_check",
-                J.Obj
-                  [
-                    ("caught", J.Bool s.C.caught);
-                    ("shrunk_size", J.Int s.C.shrunk_size);
-                    ("reproducer", J.Str s.C.reproducer);
-                    ("roundtrip_ok", J.Bool s.C.roundtrip_ok);
-                    ("still_fails", J.Bool s.C.still_fails);
-                  ] );
-            ])
-    in
-    print_endline (J.to_string summary);
-    if rep.C.divergences = 0 && replay_failures = [] && sc_ok then 0
-    else begin
-      prerr_endline "fuzz: surviving divergence or failed self-check";
-      1
-    end
+    {
+      corpus_replayed = List.length (R2c_fuzz.Corpus.files ~dir:corpus);
+      replay_failures;
+      campaign;
+      campaign_ms;
+      self_check = (if self_check then Some (C.self_check ~fuel ~seed ()) else None);
+    }
   in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Differential fuzzing: generated programs through the reference interpreter vs \
-          the compiled machine under the whole Dconfig matrix (plus rerandomized \
-          variants); divergences are delta-debugged to minimal .r2c reproducers.")
-    Term.(const run $ seed $ count $ fuel $ self_check $ corpus $ jobs)
+  let to_json f =
+    let rep = f.campaign in
+    J.Obj
+      ([
+         ("seed", J.Int rep.C.seed);
+         ("programs", J.Int rep.C.programs);
+         ("skipped", J.Int rep.C.skipped);
+         ("configs", J.Int (List.length R2c_fuzz.Oracle.matrix));
+         ("points_per_program", J.Int rep.C.points);
+         ("corpus_replayed", J.Int f.corpus_replayed);
+         ("corpus_failures", J.Int (List.length f.replay_failures));
+         ("divergences", J.Int rep.C.divergences);
+         ( "reproducers",
+           J.Arr
+             (List.map
+                (fun (path, size) ->
+                  J.Obj [ ("path", J.Str path); ("shrunk_size", J.Int size) ])
+                rep.C.reproducers) );
+       ]
+      @
+      match f.self_check with
+      | None -> []
+      | Some s ->
+          [
+            ( "self_check",
+              J.Obj
+                [
+                  ("caught", J.Bool s.C.caught);
+                  ("shrunk_size", J.Int s.C.shrunk_size);
+                  ("reproducer", J.Str s.C.reproducer);
+                  ("roundtrip_ok", J.Bool s.C.roundtrip_ok);
+                  ("still_fails", J.Bool s.C.still_fails);
+                ] );
+          ])
+  in
+  let check _ f =
+    List.map (fun (path, why) -> Printf.sprintf "corpus replay failed: %s: %s" path why)
+      f.replay_failures
+    @ (if f.campaign.C.divergences = 0 then []
+       else [ Printf.sprintf "%d surviving divergence(s)" f.campaign.C.divergences ])
+    @
+    match f.self_check with
+    | Some s
+      when not (s.C.caught && s.C.shrunk_size <= 10 && s.C.roundtrip_ok && s.C.still_fails)
+      ->
+        [ "planted-miscompile self-check failed" ]
+    | _ -> []
+  in
+  gate_cmd
+    {
+      Gate.name = "fuzz";
+      doc =
+        "Differential fuzzing: generated programs through the reference interpreter vs \
+         the compiled machine under the whole Dconfig matrix (plus rerandomized \
+         variants); divergences are delta-debugged to minimal .r2c reproducers.";
+      run;
+      print = (fun _ _ -> ());
+      to_json;
+      volatile = (fun ~wall_ms:_ f -> [ ("campaign_wall_ms", J.Float f.campaign_ms) ]);
+      check;
+    }
+    Term.(
+      const (fun a b c d e -> (a, b, c, d, e)) $ seed $ count $ fuel $ self_check $ corpus)
 
 let fleet_cmd =
+  let module FB = R2c_harness.Fleetbench in
   let seed =
     Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign master seed.")
   in
@@ -410,28 +443,6 @@ let fleet_cmd =
       & info [ "epoch-cycles" ] ~docv:"CYCLES"
           ~doc:"Live-rerandomization period: rotate every CYCLES fleet cycles.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for background epoch compiles (0 = auto: \\$R2C_JOBS or \
-             the recommended domain count; 1 = serial). The report is identical at any \
-             width.")
-  in
-  let max_p99 =
-    Arg.(
-      value & opt int 0
-      & info [ "max-p99" ] ~docv:"CYCLES"
-          ~doc:
-            "Latency SLO: fail the gate if the fleet-wide or any per-shard p99 \
-             request latency exceeds CYCLES (0 = disabled).")
-  in
-  let json_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the one-line JSON to FILE.")
-  in
   let incremental =
     Arg.(
       value & flag
@@ -441,114 +452,66 @@ let fleet_cmd =
              (body diversification pinned at the campaign seed; rotations relink \
              from cache hits).")
   in
-  let run seed requests shards epoch_cycles jobs max_p99 incremental json_out =
-    let module FB = R2c_harness.Fleetbench in
-    let effective_jobs =
-      if jobs > 0 then jobs else R2c_util.Parallel.default_jobs ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let r = FB.run ~seed ~requests ~shards ~epoch_cycles ~jobs ~incremental () in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    FB.print r;
-    let line = R2c_obs.Json.to_string (FB.json ~jobs:effective_jobs ~wall_ms r) in
-    print_endline line;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc line;
-        output_char oc '\n';
-        close_out oc);
-    (* The SLO gate: the campaign must have fleet scale (>= 100k requests,
-       >= 4 shards), live diversity (>= 3 completed rotations), perfect
-       rotations (zero rotation-caused drops) and >= 99.9% availability. *)
-    let max_p99 = if max_p99 > 0 then Some max_p99 else None in
-    match FB.gate ?max_p99 r with
-    | [] -> 0
-    | fails ->
-        List.iter (fun m -> Printf.eprintf "fleet: SLO gate failed: %s\n" m) fails;
-        1
+  let max_p99 =
+    Arg.(
+      value & opt int 0
+      & info [ "max-p99" ] ~docv:"CYCLES"
+          ~doc:
+            "Latency SLO: fail the gate if the fleet-wide or any per-shard p99 \
+             request latency exceeds CYCLES (0 = disabled).")
   in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Sharded serving fleet under chaos: >=100k simulated requests across load-\
-          balanced pools with admission control and epoch-based live rerandomization; \
-          exits nonzero unless availability >= 99.9% with zero rotation-caused drops \
-          (and, with --max-p99, the latency SLO holds fleet-wide and per shard).")
+  gate_cmd
+    {
+      Gate.name = "fleet";
+      doc =
+        "Sharded serving fleet under chaos: >=100k simulated requests across load-\
+         balanced pools with admission control and epoch-based live rerandomization; \
+         exits nonzero unless availability >= 99.9% with zero rotation-caused drops \
+         (and, with --max-p99, the latency SLO holds fleet-wide and per shard).";
+      run =
+        (fun (seed, requests, shards, epoch_cycles, incremental, _) ~jobs ->
+          FB.run ~seed ~requests ~shards ~epoch_cycles ?jobs ~incremental ());
+      print = (fun _ -> FB.print);
+      to_json = FB.json;
+      volatile = wall_ms_field;
+      check =
+        (fun (_, _, _, _, _, max_p99) r ->
+          FB.gate ?max_p99:(if max_p99 > 0 then Some max_p99 else None) r);
+    }
     Term.(
-      const run $ seed $ requests $ shards $ epoch_cycles $ jobs $ max_p99 $ incremental
-      $ json_out)
+      const (fun a b c d e f -> (a, b, c, d, e, f))
+      $ seed $ requests $ shards $ epoch_cycles $ incremental $ max_p99)
 
 let tval_cmd =
+  let module TB = R2c_harness.Tvalbench in
   let seed =
     Arg.(
       value & opt int 3
       & info [ "seed" ] ~docv:"SEED" ~doc:"Diversification seed every point compiles under.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for the validation fan-out (0 = auto: \\$R2C_JOBS or the \
-             recommended domain count; 1 = serial). The report is identical at any \
-             width.")
   in
   let corpus =
     Arg.(
       value & opt string "test/corpus"
       & info [ "corpus" ] ~docv:"DIR" ~doc:"Fuzz reproducer corpus replayed through the validator.")
   in
-  let json_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the one-line JSON to FILE.")
-  in
-  let run seed jobs corpus json_out =
-    let module TB = R2c_harness.Tvalbench in
-    let jobs = if jobs <= 0 then None else Some jobs in
-    let effective_jobs =
-      match jobs with Some j -> j | None -> R2c_util.Parallel.default_jobs ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let r = TB.run ~seed ?jobs ~corpus_dir:corpus () in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    TB.print r;
-    let line = R2c_obs.Json.to_string (TB.json ~jobs:effective_jobs ~wall_ms r) in
-    print_endline line;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc line;
-        output_char oc '\n';
-        close_out oc);
-    match TB.gate r with
-    | [] -> 0
-    | fails ->
-        List.iter (fun m -> Printf.eprintf "tval: gate failed: %s\n" m) fails;
-        1
-  in
-  Cmd.v
-    (Cmd.info "tval"
-       ~doc:
-         "Static translation validation: symbolically execute the emitted code of every \
-          workload under the whole Dconfig matrix against its IR semantics, replay the \
-          fuzz corpus, and re-catch the planted miscompiles — no execution; exits \
-          nonzero on any finding or uncaught plant.")
-    Term.(const run $ seed $ jobs $ corpus $ json_out)
+  gate_cmd
+    {
+      Gate.name = "tval";
+      doc =
+        "Static translation validation: symbolically execute the emitted code of every \
+         workload under the whole Dconfig matrix against its IR semantics, replay the \
+         fuzz corpus, and re-catch the planted miscompiles — no execution; exits \
+         nonzero on any finding or uncaught plant.";
+      run = (fun (seed, corpus) ~jobs -> TB.run ~seed ?jobs ~corpus_dir:corpus ());
+      print = (fun _ -> TB.print);
+      to_json = TB.json;
+      volatile = wall_ms_field;
+      check = (fun _ r -> TB.gate r);
+    }
+    Term.(const (fun a b -> (a, b)) $ seed $ corpus)
 
 let replay_cmd =
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for the per-case fan-out (0 = auto: \\$R2C_JOBS or the \
-             recommended domain count; 1 = serial). The report is identical at any \
-             width.")
-  in
+  let module RB = R2c_harness.Replaybench in
   let tolerance =
     Arg.(
       value & opt float 0.01
@@ -567,66 +530,47 @@ let replay_cmd =
       & info [ "corpus-out" ] ~docv:"DIR"
           ~doc:"Write the reduced .r2cr traces to DIR (the bench/replays corpus).")
   in
-  let json_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the one-line JSON to FILE.")
-  in
-  let run jobs tolerance max_checks corpus_out json_out =
-    let module RB = R2c_harness.Replaybench in
-    let jobs = if jobs <= 0 then None else Some jobs in
-    let effective_jobs =
-      match jobs with Some j -> j | None -> R2c_util.Parallel.default_jobs ()
-    in
-    let t0 = Unix.gettimeofday () in
+  let run (tolerance, max_checks, _) ~jobs =
     match RB.run ~tolerance ~max_checks ?jobs () with
+    | Ok r -> r
     | Error e ->
         Printf.eprintf "replay: %s\n" e;
-        1
-    | Ok r ->
-        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        RB.print r;
-        (match corpus_out with
-        | None -> ()
-        | Some dir ->
-            List.iter
-              (fun p -> Printf.printf "  wrote %s\n" p)
-              (RB.save_corpus ~dir r));
-        let line = R2c_obs.Json.to_string (RB.json ~jobs:effective_jobs ~wall_ms r) in
-        print_endline line;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc line;
-            output_char oc '\n';
-            close_out oc);
-        (match RB.gate r with
-        | [] -> 0
-        | fails ->
-            List.iter (fun m -> Printf.eprintf "replay: gate failed: %s\n" m) fails;
-            1)
+        exit 1
   in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:
-         "Record-reduce-replay: capture every builtin-boundary crossing of the fleet \
-          and compute workloads, delta-debug the traces (>=30% smaller), and replay \
-          them as standalone benchmarks; exits nonzero unless every replay reproduces \
-          the recorded cycles/insns/icache profile within 1%.")
-    Term.(const run $ jobs $ tolerance $ max_checks $ corpus_out $ json_out)
+  let print (_, _, corpus_out) r =
+    RB.print r;
+    Option.iter
+      (fun dir -> List.iter (Printf.printf "  wrote %s\n") (RB.save_corpus ~dir r))
+      corpus_out
+  in
+  gate_cmd
+    {
+      Gate.name = "replay";
+      doc =
+        "Record-reduce-replay: capture every builtin-boundary crossing of the fleet \
+         and compute workloads, delta-debug the traces (>=30% smaller), and replay \
+         them as standalone benchmarks; exits nonzero unless every replay reproduces \
+         the recorded cycles/insns/icache profile within 1%.";
+      run;
+      print;
+      to_json = RB.json;
+      volatile = wall_ms_field;
+      check = (fun _ r -> RB.gate r);
+    }
+    Term.(const (fun a b c -> (a, b, c)) $ tolerance $ max_checks $ corpus_out)
+
+let config_term =
+  Arg.(
+    value & opt string "full"
+    & info [ "config" ] ~docv:"CFG"
+        ~doc:"Diversity configuration (baseline, full, full-checked, layout).")
 
 let rerand_cmd =
+  let module RR = R2c_harness.Rerandbench in
   let funcs =
     Arg.(
       value & opt int 10_000
       & info [ "funcs" ] ~docv:"N" ~doc:"Generated program size in functions.")
-  in
-  let config =
-    Arg.(
-      value & opt string "full"
-      & info [ "config" ] ~docv:"CFG"
-          ~doc:"Diversity configuration (baseline, full, full-checked, layout).")
   in
   let rotations =
     Arg.(
@@ -646,61 +590,29 @@ let rerand_cmd =
           ~doc:"Gate floor: incremental rebuild must beat cold compile by this factor \
                 (0 disables the timing gate).")
   in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for recompiling cache misses (0 = auto: \\$R2C_JOBS or \
-             the recommended domain count; 1 = serial). The report is identical at any \
-             width.")
-  in
-  let json_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the one-line JSON to FILE.")
-  in
-  let run funcs config rotations checked min_speedup jobs json_out =
-    let module RR = R2c_harness.Rerandbench in
-    let jobs = if jobs <= 0 then None else Some jobs in
-    let effective_jobs =
-      match jobs with Some j -> j | None -> R2c_util.Parallel.default_jobs ()
-    in
-    let r, t = RR.run ~funcs ~config ~rotations ~checked ?jobs () in
-    RR.print (r, t);
-    let line = R2c_obs.Json.to_string (RR.json ~jobs:effective_jobs ~timing:t r) in
-    print_endline line;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc line;
-        output_char oc '\n';
-        close_out oc);
-    let timing = if min_speedup > 0.0 then Some t else None in
-    match RR.gate ~min_speedup:(max min_speedup 1.0) ?timing r with
-    | [] -> 0
-    | fails ->
-        List.iter (fun m -> Printf.eprintf "rerand: gate failed: %s\n" m) fails;
-        1
-  in
-  Cmd.v
-    (Cmd.info "rerand"
-       ~doc:
-         "Incremental rerandomization: warm the per-function codegen cache on a \
-          Genprog-scale image, rotate the link seed, and exit nonzero unless every \
-          rebuild is byte-identical to a cold compile, rotations recompile nothing, a \
-          one-function edit recompiles exactly one function, and the rebuild beats the \
-          cold compile by the speedup floor.")
-    Term.(const run $ funcs $ config $ rotations $ checked $ min_speedup $ jobs $ json_out)
+  gate_cmd
+    {
+      Gate.name = "rerand";
+      doc =
+        "Incremental rerandomization: warm the per-function codegen cache on a \
+         Genprog-scale image, rotate the link seed, and exit nonzero unless every \
+         rebuild is byte-identical to a cold compile, rotations recompile nothing, a \
+         one-function edit recompiles exactly one function, and the rebuild beats the \
+         cold compile by the speedup floor.";
+      run =
+        (fun (funcs, config, rotations, checked, _) ~jobs ->
+          RR.run ~funcs ~config ~rotations ~checked ?jobs ());
+      print = (fun _ -> RR.print);
+      to_json = (fun (r, _) -> RR.json r);
+      volatile = (fun ~wall_ms:_ (_, t) -> RR.timing_json t);
+      check = (fun (_, _, _, _, min_speedup) -> RR.gate ~min_speedup);
+    }
+    Term.(
+      const (fun a b c d e -> (a, b, c, d, e))
+      $ funcs $ config_term $ rotations $ checked $ min_speedup)
 
 let jit_cmd =
-  let config =
-    Arg.(
-      value & opt string "full"
-      & info [ "config" ] ~docv:"CFG"
-          ~doc:"Diversity configuration (baseline, full, full-checked, layout).")
-  in
+  let module JB = R2c_harness.Jitbench in
   let seed =
     Arg.(value & opt int 3 & info [ "seed" ] ~docv:"N" ~doc:"Diversification seed.")
   in
@@ -716,53 +628,24 @@ let jit_cmd =
           ~doc:"Gate floor: tier 3 must beat the reference tier by this factor (0 \
                 disables the timing gate).")
   in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for compiling the workload images (0 = auto: \\$R2C_JOBS \
-             or the recommended domain count; 1 = serial). The measured runs are always \
-             serial and the report is identical at any width.")
-  in
-  let json_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the one-line JSON to FILE.")
-  in
-  let run config seed fuel min_speedup jobs json_out =
-    let module JB = R2c_harness.Jitbench in
-    let jobs = if jobs <= 0 then None else Some jobs in
-    let effective_jobs =
-      match jobs with Some j -> j | None -> R2c_util.Parallel.default_jobs ()
-    in
-    let r, t = JB.run ~config ~seed ~fuel ?jobs () in
-    JB.print (r, t);
-    let line = R2c_obs.Json.to_string (JB.json ~jobs:effective_jobs ~timing:t r) in
-    print_endline line;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc line;
-        output_char oc '\n';
-        close_out oc);
-    let timing = if min_speedup > 0.0 then Some t else None in
-    match JB.gate ~min_speedup:(max min_speedup 1.0) ?timing r with
-    | [] -> 0
-    | fails ->
-        List.iter (fun m -> Printf.eprintf "jit: gate failed: %s\n" m) fails;
-        1
-  in
-  Cmd.v
-    (Cmd.info "jit"
-       ~doc:
-         "Three-tier comparison on the SPEC-like suite: reference dispatch vs \
-          predecoded interpreter vs tier-3 template JIT (steady-state, warm shared \
-          code cache). Exits nonzero unless all three tiers are bit-identical on \
-          every workload and tier 3 clears the speedup floor over the reference \
-          tier.")
-    Term.(const run $ config $ seed $ fuel $ min_speedup $ jobs $ json_out)
+  gate_cmd
+    {
+      Gate.name = "jit";
+      doc =
+        "Three-tier comparison on the SPEC-like suite: reference dispatch vs \
+         predecoded interpreter vs tier-3 template JIT (steady-state, warm shared \
+         code cache). Exits nonzero unless all three tiers are bit-identical on \
+         every workload and tier 3 clears the speedup floor over the reference \
+         tier. --jobs fans out the image compiles only; the measured runs are \
+         always serial.";
+      run = (fun (config, seed, fuel, _) ~jobs -> JB.run ~config ~seed ~fuel ?jobs ());
+      print = (fun _ -> JB.print);
+      to_json = (fun (r, _) -> JB.json r);
+      volatile = (fun ~wall_ms:_ (_, t) -> JB.timing_json t);
+      check = (fun (_, _, _, min_speedup) -> JB.gate ~min_speedup);
+    }
+    Term.(
+      const (fun a b c d -> (a, b, c, d)) $ config_term $ seed $ fuel $ min_speedup)
 
 let all_cmd =
   let run seeds =

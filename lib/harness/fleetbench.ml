@@ -96,8 +96,9 @@ let run ?(seed = 11) ?(requests = 100_000) ?(shards = 4)
   }
 
 (* The SLO gate (E-FLEET acceptance): empty list = pass. *)
-let gate ?(min_requests = 100_000) ?(min_shards = 4) ?(min_rotations = 3)
-    ?(min_availability = 0.999) ?max_p99 r =
+let gate ?max_p99 r =
+  let min_requests = 100_000 and min_shards = 4 and min_rotations = 3 in
+  let min_availability = 0.999 in
   let fails = ref [] in
   let check cond msg = if not cond then fails := msg :: !fails in
   check
@@ -127,44 +128,39 @@ let gate ?(min_requests = 100_000) ?(min_shards = 4) ?(min_rotations = 3)
         r.shard_p99);
   List.rev !fails
 
-(* One-line JSON. Deterministic fields first; the volatile run metadata
-   ([jobs], [wall_ms]) last so CI's serial-vs-parallel diff can strip it
-   with a tail cut. *)
-let json ?jobs ?wall_ms r =
+let json r =
   let f = r.fleet and p = r.pool in
   J.Obj
-    ([
-       ("seed", J.Int r.seed);
-       ("requests", J.Int f.Fleet.submitted);
-       ("shards", J.Int r.shards);
-       ("epoch_cycles", J.Int r.epoch_cycles);
-       ("incremental", J.Bool r.incremental);
-       ("served", J.Int f.Fleet.served);
-       ("dropped", J.Int f.Fleet.dropped);
-       ("shed", J.Int f.Fleet.shed);
-       ("rejected", J.Int f.Fleet.rejected);
-       ("hedges", J.Int f.Fleet.hedges);
-       ("availability", J.Float r.availability);
-       ("p50_cycles", J.Int r.p50);
-       ("p99_cycles", J.Int r.p99);
-       ("shard_p50_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p50));
-       ("shard_p99_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p99));
-       ("clock_cycles", J.Int r.clock);
-       ("epochs", J.Int r.epochs);
-       ("rotations", J.Int f.Fleet.rotations);
-       ("rotation_drops", J.Int f.Fleet.rotation_drops);
-       ("drops_during_rotation", J.Int f.Fleet.drops_during_rotation);
-       ("canary_failures", J.Int f.Fleet.canary_failures);
-       ("quarantines", J.Int f.Fleet.quarantines);
-       ("max_queue_depth", J.Int f.Fleet.max_queue_depth);
-       ("pool_crashes", J.Int p.Pool.crashes);
-       ("pool_detections", J.Int p.Pool.detections);
-       ("pool_restarts", J.Int p.Pool.restarts);
-       ("pool_rerandomizations", J.Int p.Pool.rerandomizations);
-       ("gate_failures", J.Arr (List.map (fun m -> J.Str m) (gate r)));
-     ]
-    @ (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @ match wall_ms with Some w -> [ ("wall_ms", J.Float w) ] | None -> [])
+    [
+      ("seed", J.Int r.seed);
+      ("requests", J.Int f.Fleet.submitted);
+      ("shards", J.Int r.shards);
+      ("epoch_cycles", J.Int r.epoch_cycles);
+      ("incremental", J.Bool r.incremental);
+      ("served", J.Int f.Fleet.served);
+      ("dropped", J.Int f.Fleet.dropped);
+      ("shed", J.Int f.Fleet.shed);
+      ("rejected", J.Int f.Fleet.rejected);
+      ("hedges", J.Int f.Fleet.hedges);
+      ("availability", J.Float r.availability);
+      ("p50_cycles", J.Int r.p50);
+      ("p99_cycles", J.Int r.p99);
+      ("shard_p50_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p50));
+      ("shard_p99_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p99));
+      ("clock_cycles", J.Int r.clock);
+      ("epochs", J.Int r.epochs);
+      ("rotations", J.Int f.Fleet.rotations);
+      ("rotation_drops", J.Int f.Fleet.rotation_drops);
+      ("drops_during_rotation", J.Int f.Fleet.drops_during_rotation);
+      ("canary_failures", J.Int f.Fleet.canary_failures);
+      ("quarantines", J.Int f.Fleet.quarantines);
+      ("max_queue_depth", J.Int f.Fleet.max_queue_depth);
+      ("pool_crashes", J.Int p.Pool.crashes);
+      ("pool_detections", J.Int p.Pool.detections);
+      ("pool_restarts", J.Int p.Pool.restarts);
+      ("pool_rerandomizations", J.Int p.Pool.rerandomizations);
+      ("gate_failures", J.Arr (List.map (fun m -> J.Str m) (gate r)));
+    ]
 
 let print r =
   let f = r.fleet in

@@ -12,8 +12,8 @@
     The {!report} is bit-identical at any Domain-pool width ([?jobs] /
     [R2C_JOBS]): parallelism only accelerates background epoch compiles,
     never reorders a randomized decision. Wall-clock and job-count are
-    therefore kept out of the report and only appended (last) to the JSON
-    by the caller. *)
+    therefore kept out of the report; {!Gate.exec} appends them after
+    {!json}'s fields. *)
 
 (** Chaos rates applied inside every shard worker (the injection sweep's
     "light" mix). *)
@@ -54,22 +54,14 @@ val run :
   report
 
 (** [gate r] — the E-FLEET SLO checks; returns the list of violated
-    criteria (empty = pass): campaign length, shard count, completed
-    rotations, zero rotation-caused drops, availability floor. With
-    [?max_p99] (cycles) the latency SLO also binds: the fleet-wide p99
-    and every per-shard p99 must stay at or under the ceiling. *)
-val gate :
-  ?min_requests:int ->
-  ?min_shards:int ->
-  ?min_rotations:int ->
-  ?min_availability:float ->
-  ?max_p99:int ->
-  report ->
-  string list
+    criteria (empty = pass): campaign length (>= 100k requests), shard
+    count (>= 4), completed rotations (>= 3), zero rotation-caused
+    drops, availability floor (>= 0.999). With [?max_p99] (cycles) the
+    latency SLO also binds: the fleet-wide p99 and every per-shard p99
+    must stay at or under the ceiling. *)
+val gate : ?max_p99:int -> report -> string list
 
-(** [json ?jobs ?wall_ms r] — the one-line campaign summary. Deterministic
-    fields first; [jobs] and [wall_ms] (when given) are appended last so a
-    serial-vs-parallel diff can strip them. *)
-val json : ?jobs:int -> ?wall_ms:float -> report -> R2c_obs.Json.t
+(** [json r] — the one-line campaign summary (deterministic fields). *)
+val json : report -> R2c_obs.Json.t
 
 val print : report -> unit

@@ -164,10 +164,7 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
   in
   (report, timing)
 
-(* The E-JIT gate: the deterministic half (three-way identity, real
-   compilation, real OSR entries, tier-3 coverage) always binds; the
-   timing floor binds when a timing is supplied. *)
-let gate ?(min_speedup = 5.0) ?timing r =
+let gate ~min_speedup (r, t) =
   let checks =
     [
       ("all three tiers bit-identical on every workload", r.identical);
@@ -179,20 +176,18 @@ let gate ?(min_speedup = 5.0) ?timing r =
         r.tier3_share >= 0.5 );
     ]
     @
-    match timing with
-    | None -> []
-    | Some t ->
-        [
-          ( Printf.sprintf "tier 3 >= %.0fx over the reference tier (got %.2fx)"
-              min_speedup t.speedup_jit,
-            t.speedup_jit >= min_speedup );
-        ]
+    if min_speedup <= 0.0 then []
+    else
+      let floor = max min_speedup 1.0 in
+      [
+        ( Printf.sprintf "tier 3 >= %.0fx over the reference tier (got %.2fx)" floor
+            t.speedup_jit,
+          t.speedup_jit >= floor );
+      ]
   in
   List.filter_map (fun (what, ok) -> if ok then None else Some what) checks
 
-(* Deterministic fields first; [jobs] opens the volatile tail (the CI
-   serial-vs-parallel diff strips from "jobs" on), timings stay last. *)
-let json ?jobs ?timing r =
+let json r =
   let row_json row =
     J.Obj
       [
@@ -210,28 +205,25 @@ let json ?jobs ?timing r =
       ]
   in
   J.Obj
-    ([
-       ("seed", J.Int r.seed);
-       ("config", J.Str r.config);
-       ("fuel", J.Int r.fuel);
-       ("identical", J.Bool r.identical);
-       ("compiled_total", J.Int r.compiled_total);
-       ("osr_total", J.Int r.osr_total);
-       ("tier3_share", J.Float r.tier3_share);
-       ("workloads", J.Arr (List.map row_json r.rows));
-     ]
-    @ (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @
-    match timing with
-    | Some t ->
-        [
-          ("ref_ms", J.Float t.ref_ms);
-          ("fast_ms", J.Float t.fast_ms);
-          ("jit_ms", J.Float t.jit_ms);
-          ("speedup_fast", J.Float t.speedup_fast);
-          ("speedup_jit", J.Float t.speedup_jit);
-        ]
-    | None -> [])
+    [
+      ("seed", J.Int r.seed);
+      ("config", J.Str r.config);
+      ("fuel", J.Int r.fuel);
+      ("identical", J.Bool r.identical);
+      ("compiled_total", J.Int r.compiled_total);
+      ("osr_total", J.Int r.osr_total);
+      ("tier3_share", J.Float r.tier3_share);
+      ("workloads", J.Arr (List.map row_json r.rows));
+    ]
+
+let timing_json t =
+  [
+    ("ref_ms", J.Float t.ref_ms);
+    ("fast_ms", J.Float t.fast_ms);
+    ("jit_ms", J.Float t.jit_ms);
+    ("speedup_fast", J.Float t.speedup_fast);
+    ("speedup_jit", J.Float t.speedup_jit);
+  ]
 
 let print (r, t) =
   List.iter

@@ -59,16 +59,18 @@ type timing = {
 val run :
   ?seed:int -> ?config:string -> ?fuel:int -> ?jobs:int -> unit -> report * timing
 
-(** [gate ?min_speedup ?timing r] — failure strings, empty when the run
+(** [gate ~min_speedup (r, t)] — failure strings, empty when the run
     passes. Deterministic checks (three-way identity everywhere, every
     workload compiled something, OSR actually exercised, tier-3
-    instruction share >= 50%) always apply; the [min_speedup] floor
-    (default 5x over the reference tier) applies when [timing] is
-    given. *)
-val gate : ?min_speedup:float -> ?timing:timing -> report -> string list
+    instruction share >= 50%) always apply; with [min_speedup > 0]
+    tier 3 must also beat the reference tier by [max min_speedup 1]
+    times. *)
+val gate : min_speedup:float -> report * timing -> string list
 
-(** [json ?jobs ?timing r] — deterministic fields first; [jobs] opens
-    the volatile tail, timing fields come last. *)
-val json : ?jobs:int -> ?timing:timing -> report -> R2c_obs.Json.t
+(** [json r] — the one-line summary (deterministic fields). *)
+val json : report -> R2c_obs.Json.t
+
+(** The timing fields, for the JSON line's volatile tail. *)
+val timing_json : timing -> (string * R2c_obs.Json.t) list
 
 val print : report * timing -> unit

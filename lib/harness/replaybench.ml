@@ -97,7 +97,9 @@ let run ?tolerance ?max_checks ?jobs () =
           List.filter_map (function Ok r -> Some r | Error _ -> None) results;
       }
 
-let gate ?(min_reduction = 0.30) r =
+let min_reduction = 0.30
+
+let gate r =
   List.concat_map
     (fun cr ->
       let fidelity =
@@ -139,19 +141,13 @@ let case_json cr =
       ("fidelity", J.Str (if cr.cr_failures = [] then "pass" else "fail"));
     ]
 
-let json ?jobs ?wall_ms r =
-  let fields =
+let json r =
+  J.Obj
     [
       ("experiment", J.Str "replay");
       ("cases", J.Arr (List.map case_json r.case_reports));
       ("gate", J.Str (if gate r = [] then "pass" else "fail"));
     ]
-  in
-  let volatile =
-    (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @ match wall_ms with Some w -> [ ("wall_ms", J.Float w) ] | None -> []
-  in
-  J.Obj (fields @ volatile)
 
 let print r =
   print_endline "E-REPLAY: record / reduce / replay with profile-fidelity gates";

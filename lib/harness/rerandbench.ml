@@ -119,10 +119,7 @@ let run ?(funcs = 10_000) ?(config = "full") ?(body_seed = 3) ?(base_link_seed =
   in
   (report, timing)
 
-(* The E-RERAND gate. Timing binds only when given: CI gates the
-   measured run on the 10x floor; the deterministic half (identity,
-   cache traffic) also guards the test battery. *)
-let gate ?(min_speedup = 10.0) ?timing r =
+let gate ~min_speedup (r, t) =
   let checks =
     [
       ("byte-identical to cold compile at every checked rotation", r.identical);
@@ -133,48 +130,42 @@ let gate ?(min_speedup = 10.0) ?timing r =
         r.edit_misses = 1 && List.length r.edit_missed = 1 );
     ]
     @
-    match timing with
-    | None -> []
-    | Some t ->
-        [
-          ( Printf.sprintf "incremental rebuild >= %.0fx faster than cold (got %.1fx)"
-              min_speedup t.speedup,
-            t.speedup >= min_speedup );
-        ]
+    if min_speedup <= 0.0 then []
+    else
+      let floor = max min_speedup 1.0 in
+      [
+        ( Printf.sprintf "incremental rebuild >= %.0fx faster than cold (got %.1fx)" floor
+            t.speedup,
+          t.speedup >= floor );
+      ]
   in
   List.filter_map (fun (what, ok) -> if ok then None else Some what) checks
 
-(* Deterministic fields first; [jobs] opens the volatile tail and the
-   timing fields stay behind it, so CI's serial-vs-parallel diff can
-   strip everything from "jobs" on. *)
-let json ?jobs ?timing r =
+let json r =
   J.Obj
-    ([
-       ("funcs", J.Int r.funcs);
-       ("config", J.Str r.config);
-       ("body_seed", J.Int r.body_seed);
-       ("base_link_seed", J.Int r.base_link_seed);
-       ("rotations", J.Int r.rotations);
-       ("checked", J.Int r.checked);
-       ("identical", J.Bool r.identical);
-       ("warm_misses", J.Int r.warm_misses);
-       ("rotation_hits", J.Int r.rotation_hits);
-       ("rotation_misses", J.Int r.rotation_misses);
-       ("edit_misses", J.Int r.edit_misses);
-       ("edit_missed", J.Arr (List.map (fun s -> J.Str s) r.edit_missed));
-       ("edit_identical", J.Bool r.edit_identical);
-       ("cache_entries", J.Int r.cache_entries);
-     ]
-    @ (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @
-    match timing with
-    | Some t ->
-        [
-          ("cold_ms", J.Float t.cold_ms);
-          ("incr_ms", J.Float t.incr_ms);
-          ("speedup", J.Float t.speedup);
-        ]
-    | None -> [])
+    [
+      ("funcs", J.Int r.funcs);
+      ("config", J.Str r.config);
+      ("body_seed", J.Int r.body_seed);
+      ("base_link_seed", J.Int r.base_link_seed);
+      ("rotations", J.Int r.rotations);
+      ("checked", J.Int r.checked);
+      ("identical", J.Bool r.identical);
+      ("warm_misses", J.Int r.warm_misses);
+      ("rotation_hits", J.Int r.rotation_hits);
+      ("rotation_misses", J.Int r.rotation_misses);
+      ("edit_misses", J.Int r.edit_misses);
+      ("edit_missed", J.Arr (List.map (fun s -> J.Str s) r.edit_missed));
+      ("edit_identical", J.Bool r.edit_identical);
+      ("cache_entries", J.Int r.cache_entries);
+    ]
+
+let timing_json t =
+  [
+    ("cold_ms", J.Float t.cold_ms);
+    ("incr_ms", J.Float t.incr_ms);
+    ("speedup", J.Float t.speedup);
+  ]
 
 let print (r, t) =
   Printf.printf

@@ -132,7 +132,8 @@ let totals r =
       (funcs + f, blocks + b, findings + fd, ir + List.length w.ir_findings))
     (0, 0, 0, 0) r.workloads
 
-let gate ?(min_workloads = 17) ?(min_points = 11) r =
+let gate r =
+  let min_workloads = 17 and min_points = 11 in
   let fails = ref [] in
   let check ok msg = if not ok then fails := msg :: !fails in
   let _, _, findings, ir = totals r in
@@ -159,38 +160,33 @@ let gate ?(min_workloads = 17) ?(min_points = 11) r =
     r.corpus;
   List.rev !fails
 
-(* One-line JSON. Deterministic fields first; the volatile run metadata
-   ([jobs], [wall_ms]) last so CI's serial-vs-parallel diff can strip it
-   with a tail cut. *)
-let json ?jobs ?wall_ms r =
+let json r =
   let funcs, blocks, findings, ir = totals r in
   J.Obj
-    ([
-       ("seed", J.Int r.seed);
-       ("workloads", J.Int (List.length r.workloads));
-       ("points", J.Int (match r.workloads with w :: _ -> List.length w.points | [] -> 0));
-       ("validated_funcs", J.Int funcs);
-       ("validated_blocks", J.Int blocks);
-       ("findings", J.Int findings);
-       ("ir_findings", J.Int ir);
-       ( "plants",
-         J.Arr
-           (List.map
-              (fun pl ->
-                J.Obj
-                  [
-                    ("plant", J.Str pl.plname);
-                    ("point", J.Str pl.plpoint);
-                    ("caught", J.Int pl.caught);
-                  ])
-              r.plants) );
-       ("corpus_replayed", J.Int (List.length r.corpus));
-       ( "corpus_failures",
-         J.Int (List.length (List.filter (fun rp -> rp.rerrors <> []) r.corpus)) );
-       ("gate_failures", J.Arr (List.map (fun m -> J.Str m) (gate r)));
-     ]
-    @ (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @ match wall_ms with Some w -> [ ("wall_ms", J.Float w) ] | None -> [])
+    [
+      ("seed", J.Int r.seed);
+      ("workloads", J.Int (List.length r.workloads));
+      ("points", J.Int (match r.workloads with w :: _ -> List.length w.points | [] -> 0));
+      ("validated_funcs", J.Int funcs);
+      ("validated_blocks", J.Int blocks);
+      ("findings", J.Int findings);
+      ("ir_findings", J.Int ir);
+      ( "plants",
+        J.Arr
+          (List.map
+             (fun pl ->
+               J.Obj
+                 [
+                   ("plant", J.Str pl.plname);
+                   ("point", J.Str pl.plpoint);
+                   ("caught", J.Int pl.caught);
+                 ])
+             r.plants) );
+      ("corpus_replayed", J.Int (List.length r.corpus));
+      ( "corpus_failures",
+        J.Int (List.length (List.filter (fun rp -> rp.rerrors <> []) r.corpus)) );
+      ("gate_failures", J.Arr (List.map (fun m -> J.Str m) (gate r)));
+    ]
 
 let print r =
   let module Table = R2c_util.Table in
@@ -237,5 +233,3 @@ let print r =
   Printf.printf "Totals: %d functions, %d blocks validated; %d finding(s), %d IR finding(s)\n"
     funcs blocks findings ir;
   Printf.printf "E-TVAL: %s\n" (if gate r = [] then "CLEAN" else "FINDINGS")
-
-let gate r = gate r

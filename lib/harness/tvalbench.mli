@@ -11,8 +11,8 @@
     The report is bit-identical at any Domain-pool width ([?jobs] /
     [$R2C_JOBS]): units fan out over {!R2c_util.Parallel.map}, which
     preserves task order, and every finding is deterministic. Wall-clock
-    and job count are therefore kept out of the report and only appended
-    (last) to the JSON by the caller. *)
+    and job count are therefore kept out of the report; {!Gate.exec}
+    appends them after {!json}'s fields. *)
 
 type point = {
   pname : string;  (** matrix point *)
@@ -56,8 +56,7 @@ val run : ?seed:int -> ?jobs:int -> ?corpus_dir:string -> unit -> report
     non-trivial coverage (>= 17 workloads, >= 11 points). *)
 val gate : report -> string list
 
-(** [json ?jobs ?wall_ms r] — the one-line summary; deterministic fields
-    first, volatile run metadata last. *)
-val json : ?jobs:int -> ?wall_ms:float -> report -> R2c_obs.Json.t
+(** [json r] — the one-line summary (deterministic fields). *)
+val json : report -> R2c_obs.Json.t
 
 val print : report -> unit

@@ -497,7 +497,8 @@ let run_fast t ~fuel =
 (* Tier dispatch: an attached observer or injector always forces the
    reference tier (they must see every step); otherwise tier-3 runs when
    installed, the fast interpreter when not. All three produce identical
-   counters — the tiercmp/differential suites pin that contract down. *)
+   counters — [experiments jit] and the differential suites pin that
+   contract down. *)
 let run t ~fuel =
   match (t.observer, t.inject) with
   | None, None -> (

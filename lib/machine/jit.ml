@@ -38,14 +38,12 @@ let default_config = { call_threshold = 8; backedge_threshold = 24 }
 
 (* Global default switch, consulted by Loader/Process at attach time.
    R2C_JIT=0 turns tier 3 off fleet-wide without touching call sites. *)
-let enabled_ref =
-  ref
-    (match Sys.getenv_opt "R2C_JIT" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
+let enabled_at_startup =
+  match Sys.getenv_opt "R2C_JIT" with
+  | Some ("0" | "false" | "off" | "no") -> false
+  | _ -> true
 
-let enabled () = !enabled_ref
-let set_enabled b = enabled_ref := b
+let enabled () = enabled_at_startup
 
 (* The machine context threaded through every compiled closure. All fields
    are aliases into the owning [Cpu.t] except [cyc], the unboxed cycle
@@ -1043,8 +1041,6 @@ let attach ?config ?cache (cpu : Cpu.t) =
   j
 
 let detach cpu = Cpu.set_tier3 cpu None
-
-let cache_of j = j.cache
 
 (* Test hook: corrupt the cached entry for [entry] as a crashed
    rerandomization might leave it — stale generation, wrong digest. The

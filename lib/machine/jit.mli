@@ -17,7 +17,7 @@
     {!Cpu.run} with the JIT disabled (fast interpreter), and
     {!Cpu.run_reference} produce identical cycles, insns, icache
     counters, faults, output, exit codes and peak depth on every program.
-    [bench/tiercmp.ml] and the [jit] test suite enforce it.
+    [experiments jit] and the [jit] test suite enforce it.
 
     Code caches are per-{!Process} and CPU-independent (closures receive
     the machine context as an argument), so a cache stays warm across
@@ -58,8 +58,6 @@ type stats = {
     [0]/[false]/[off]/[no], on otherwise). *)
 val enabled : unit -> bool
 
-val set_enabled : bool -> unit
-
 (** [create_cache ?config ~profile img] — an empty cache for images laid
     out like [img] under cost profile [profile]. *)
 val create_cache : ?config:config -> profile:Cost.profile -> Image.t -> cache
@@ -81,7 +79,6 @@ val run : t -> fuel:int -> Cpu.run_result
 
 val stats : t -> stats
 val cache_stats : cache -> stats
-val cache_of : t -> cache
 
 (** [poison j ~entry] corrupts the cached entry for the function at
     [entry] (stale generation, wrong digest) the way an interrupted

@@ -99,7 +99,6 @@ let icache_misses t = Icache.misses t.cpu.Cpu.icache
 let icache_accesses t = Icache.accesses t.cpu.Cpu.icache
 let fuel_left t = t.fuel_left
 let maxrss_bytes t = Mem.max_mapped_pages t.cpu.Cpu.mem * Addr.page_size
-let jit_stats t = Option.map Jit.cache_stats t.jit_cache
 let output t = Cpu.output t.cpu
 let sensitive_log t = t.cpu.Cpu.sensitive_log
 let detected t = t.detections <> []

@@ -81,10 +81,6 @@ val fuel_left : t -> int
 (** [maxrss_bytes t] — peak resident set, the Section 6.2.5 metric. *)
 val maxrss_bytes : t -> int
 
-(** [jit_stats t] — lifetime tier-3 counters of the process's code cache
-    (compilations, OSR entries, tier split); [None] when the JIT is off. *)
-val jit_stats : t -> Jit.stats option
-
 val output : t -> string
 val sensitive_log : t -> (int * int) list
 

@@ -73,6 +73,19 @@ let test_clean_campaign () =
   Alcotest.(check int) "divergences" 0 r.Campaign.divergences;
   Alcotest.(check int) "points per program" 13 r.Campaign.points
 
+(* [Campaign.run] promises the same report at any [jobs]: programs fan
+   out over the domain pool but are generated, checked and reported in
+   seed order. *)
+let test_campaign_jobs_deterministic () =
+  List.iter
+    (fun seed ->
+      let serial = Campaign.run ~jobs:1 ~seed ~count:3 () in
+      let parallel = Campaign.run ~jobs:2 ~seed ~count:3 () in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: report identical at jobs 1 and 2" seed)
+        true (serial = parallel))
+    [ 5; 11 ]
+
 let test_planted_miscompile () =
   let out_dir = Filename.concat (Filename.get_temp_dir_name ()) "r2c_fuzz_test" in
   let sc = Campaign.self_check ~out_dir ~seed:11 () in
@@ -126,6 +139,8 @@ let suite =
           test_matrix_covers_every_knob;
         Alcotest.test_case "clean campaign finds no divergence" `Quick
           test_clean_campaign;
+        Alcotest.test_case "campaign report identical at any jobs" `Quick
+          test_campaign_jobs_deterministic;
         Alcotest.test_case "planted miscompile caught and shrunk" `Quick
           test_planted_miscompile;
         Alcotest.test_case "replay of missing corpus is vacuous" `Quick

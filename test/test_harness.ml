@@ -1,5 +1,7 @@
 module Measure = R2c_harness.Measure
 module Webserver = R2c_workloads.Webserver
+module Gate = R2c_harness.Gate
+module J = R2c_obs.Json
 
 let tiny_program =
   let open Builder in
@@ -86,6 +88,75 @@ let test_table1_smoke () =
   Alcotest.(check bool) "push > avx" true ((get "Push").geomean > (get "AVX").geomean);
   Alcotest.(check bool) "avx > layout" true ((get "AVX").geomean > (get "Layout").geomean)
 
+(* A fake gate whose argument is the list of criteria its [check]
+   reports as violated. *)
+let fake_gate : (string list, int) Gate.t =
+  {
+    Gate.name = "fake";
+    doc = "A gate that always reports 42.";
+    run = (fun _ ~jobs:_ -> 42);
+    print = (fun _ _ -> ());
+    to_json = (fun r -> J.Obj [ ("answer", J.Int r); ("label", J.Str "x,y") ]);
+    volatile = (fun ~wall_ms:_ _ -> [ ("wall_ms", J.Float 1.5) ]);
+    check = (fun fails _ -> fails);
+  }
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  s
+
+(* [exec_fake ~jobs fails] — the exit code, the written JSON line and
+   everything [Gate.exec] printed on stderr. *)
+let exec_fake ~jobs fails =
+  let json_out = Filename.temp_file "gate" ".json" in
+  let err_path = Filename.temp_file "gate" ".err" in
+  let err_fd = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 err_fd Unix.stderr;
+  let code =
+    Fun.protect
+      (fun () -> Gate.exec ~json_out ~jobs fake_gate fails)
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved;
+        Unix.close err_fd)
+  in
+  (code, read_file json_out, read_file err_path)
+
+let test_gate_json_order () =
+  let _, line, _ = exec_fake ~jobs:(Some 3) [] in
+  Alcotest.(check string) "deterministic fields, jobs, volatile fields"
+    "{\"answer\":42,\"label\":\"x,y\",\"jobs\":3,\"wall_ms\":1.5}\n" line;
+  let _, auto, _ = exec_fake ~jobs:None [] in
+  Alcotest.(check bool) "jobs None reports the auto width" true
+    (J.member "jobs" (Result.get_ok (J.parse auto))
+    = Some (J.Int (R2c_util.Parallel.default_jobs ())))
+
+let test_gate_strip_leaves_to_json () =
+  (* What [make determinism] diffs: the line cut at ,"jobs":. *)
+  let _, line, _ = exec_fake ~jobs:(Some 8) [] in
+  let marker = ",\"jobs\":" in
+  let rec find i =
+    if String.sub line i (String.length marker) = marker then i else find (i + 1)
+  in
+  Alcotest.(check string) "stripped line is the to_json rendering"
+    (J.to_string (fake_gate.Gate.to_json 42))
+    (String.sub line 0 (find 0) ^ "}")
+
+let test_gate_exit_codes () =
+  let code, _, err = exec_fake ~jobs:(Some 1) [ "too slow"; "not identical" ] in
+  Alcotest.(check int) "failed check exits 1" 1 code;
+  Alcotest.(check string) "one stderr line per failure"
+    "fake: gate failed: too slow\nfake: gate failed: not identical\n" err;
+  let code, _, err = exec_fake ~jobs:(Some 1) [] in
+  Alcotest.(check int) "empty check exits 0" 0 code;
+  Alcotest.(check string) "nothing on stderr" "" err
+
 let suite =
   [
     ( "harness",
@@ -99,5 +170,9 @@ let suite =
         Alcotest.test_case "paper constants" `Quick test_paper_constants_sane;
         Alcotest.test_case "scale small" `Quick test_scale_runs_small;
         Alcotest.test_case "table1 smoke" `Slow test_table1_smoke;
+        Alcotest.test_case "gate json field order" `Quick test_gate_json_order;
+        Alcotest.test_case "gate strip leaves to_json" `Quick
+          test_gate_strip_leaves_to_json;
+        Alcotest.test_case "gate exit codes" `Quick test_gate_exit_codes;
       ] );
   ]
