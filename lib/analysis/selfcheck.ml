@@ -37,7 +37,7 @@ let drop_postcheck (img : Image.t) =
                  (fun (a, i, l) -> if a = ra then (a, Insn.Nop len, l) else (a, i, l))
                  (Lazy.force img.code_list))
           in
-          { img with code; code_list }
+          { img with code; code_list; decoded = Atomic.make None }
       | _ -> invalid_arg "Selfcheck: no post-return check at the first checked site")
 
 let skip_mprotect (img : Image.t) = { img with text_perm = Perm.rw }

@@ -305,6 +305,7 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
     checked_sites;
     code_ptr_slots = (lazy (let _, _, s = Lazy.force data_init in s));
     shadow_stack = opts.shadow_stack;
+    decoded = Atomic.make None;
   }
 
 let link ~opts ~main emitted globals =

@@ -29,14 +29,21 @@ type t = {
   mutable observer : observer option;  (* per-step hook; None = no cost *)
   mutable btap : (t -> string -> unit) option;
       (* builtin-boundary tap; None = no cost *)
-  mutable pdecode : Image.pslot array option;
-      (* predecoded text, built on first fast-path run *)
   mutable tier3 : (t -> fuel:int -> run_result) option;
       (* the JIT runner (Jit.attach); None = run falls back to the fast
          interpreter tier *)
 }
 
-let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
+let create ?(strict_align = false) ?inject ?icache ~profile ~mem ~heap image ~rip ~rsp =
+  let icache =
+    match icache with
+    | Some ic ->
+        Icache.reset ic;
+        ic
+    | None ->
+        Icache.create ~lines:profile.Cost.icache_lines
+          ~line_bytes:profile.Cost.icache_line_bytes
+  in
   let t =
     {
       mem;
@@ -55,8 +62,7 @@ let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
       halted = false;
       exit_code = 0;
       profile;
-      icache = Icache.create ~lines:profile.Cost.icache_lines
-          ~line_bytes:profile.Cost.icache_line_bytes;
+      icache;
       out = Buffer.create 256;
       input = Queue.create ();
       sensitive_log = [];
@@ -65,7 +71,6 @@ let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
       inject;
       observer = None;
       btap = None;
-      pdecode = None;
       tier3 = None;
     }
   in
@@ -458,58 +463,71 @@ let run_reference t ~fuel =
   in
   try go fuel with Fault.Fault f -> Faulted f
 
-let predecoded t =
-  match t.pdecode with
-  | Some pd -> pd
-  | None ->
-      let pd = Image.predecode t.image in
-      t.pdecode <- Some pd;
-      pd
-
-(* Fast tier: the observer and injector dispatches are hoisted out of the
-   loop entirely (this loop only runs when neither is attached), and the
-   fetch is one TLB exec probe plus one array read into the predecoded
-   text. Out-of-text rip falls through to Invalid_opcode exactly as the
-   reference fetch reports it: neither hash table can match outside the
-   text segment. *)
-let run_fast t ~fuel =
-  let pd = predecoded t in
+(* Fast tier: one TLB exec probe plus one array read into the predecoded
+   text per fetch. The injector's per-step hook runs inline, in the
+   reference order ([on_step], then [check_exec], then the fetch), and
+   costs one subtraction while its draws are known misses; with none
+   attached the match is the whole cost. [at_break] is consulted after
+   the halt and fuel tests, as [run_until] always has, and only when rip
+   equals [brk] (a single break address) or, for a break list of several,
+   on every step ([multi]). Out-of-text rip falls through to
+   Invalid_opcode exactly as the reference fetch reports it: neither hash
+   table can match outside the text segment. Returns [true] when stopped
+   at a break, [false] on halt or spent fuel (told apart by [t.halted]);
+   faults propagate. *)
+let fast_loop ~brk ~multi ~at_break t ~fuel =
+  let pd = Image.predecoded t.image in
   let base = t.image.Image.text_base in
   let len = Array.length pd in
+  let mem = t.mem in
+  let inject = t.inject in
   let rec go budget =
-    if t.halted then Halted
-    else if budget <= 0 then Fuel_exhausted
+    if t.halted || budget <= 0 then false
     else begin
       let rip = t.rip in
-      Mem.check_exec t.mem rip;
-      let off = rip - base in
-      (if off >= 0 && off < len then
-         match Array.unsafe_get pd off with
-         | Image.P_insn (insn, size) -> execute t rip insn size
-         | Image.P_builtin name -> step_builtin t name
-         | Image.P_none -> Fault.raise_fault (Invalid_opcode { addr = rip })
-       else Fault.raise_fault (Invalid_opcode { addr = rip }));
-      go (budget - 1)
+      if (rip = brk || multi) && at_break rip then true
+      else begin
+        (match inject with Some inj -> Inject.on_step inj ~mem ~rip | None -> ());
+        Mem.check_exec mem rip;
+        let off = rip - base in
+        (if off >= 0 && off < len then
+           match Array.unsafe_get pd off with
+           | Image.P_insn (insn, size) -> execute t rip insn size
+           | Image.P_builtin name -> step_builtin t name
+           | Image.P_none -> Fault.raise_fault (Invalid_opcode { addr = rip })
+         else Fault.raise_fault (Invalid_opcode { addr = rip }));
+        go (budget - 1)
+      end
     end
   in
-  try go fuel with Fault.Fault f -> Faulted f
+  go fuel
 
-(* Tier dispatch: an attached observer or injector always forces the
-   reference tier (they must see every step); otherwise tier-3 runs when
-   installed, the fast interpreter when not. All three produce identical
+let never _ = false
+
+let stopped t = if t.halted then Halted else Fuel_exhausted
+
+let run_fast t ~fuel =
+  match fast_loop t ~fuel ~brk:t.rip ~multi:false ~at_break:never with
+  | _ -> stopped t
+  | exception Fault.Fault f -> Faulted f
+
+(* Tier dispatch. An observer forces the reference tier: it must see
+   every step through [step]. Otherwise tier 3 runs when installed and no
+   injector is attached (compiled code calls no injector hooks), and the
+   fast interpreter runs in every other case. All three produce identical
    counters — [experiments jit] and the differential suites pin that
    contract down. *)
 let run t ~fuel =
-  match (t.observer, t.inject) with
-  | None, None -> (
-      match t.tier3 with
-      | Some jit -> jit t ~fuel
-      | None -> run_fast t ~fuel)
-  | _ -> run_reference t ~fuel
+  match (t.observer, t.inject, t.tier3) with
+  | Some _, _, _ -> run_reference t ~fuel
+  | None, None, Some jit -> jit t ~fuel
+  | None, _, _ -> run_fast t ~fuel
 
 let set_tier3 t f = t.tier3 <- f
 
-let run_until t ~fuel ~break =
+(* The observed path: every step through [step], so the observer fires
+   on each; breakpoint membership is a hash probe. *)
+let run_until_reference t ~fuel ~break =
   let bset = Hashtbl.create (max 8 (List.length break)) in
   List.iter (fun a -> Hashtbl.replace bset a ()) break;
   let rec go budget =
@@ -523,6 +541,34 @@ let run_until t ~fuel ~break =
   in
   try go fuel with Fault.Fault f -> Error (Faulted f)
 
+let run_until t ~fuel ~break =
+  match t.observer with
+  | Some _ -> run_until_reference t ~fuel ~break
+  | None -> (
+      let loop =
+        match break with
+        | [] -> fast_loop ~brk:t.rip ~multi:false ~at_break:never
+        | [ a ] -> fast_loop ~brk:a ~multi:false ~at_break:(fun rip -> rip = a)
+        | a :: _ ->
+            let bset = Hashtbl.create (List.length break) in
+            List.iter (fun a -> Hashtbl.replace bset a ()) break;
+            fast_loop ~brk:a ~multi:true ~at_break:(Hashtbl.mem bset)
+      in
+      match loop t ~fuel with
+      | true -> Ok ()
+      | false -> Error (stopped t)
+      | exception Fault.Fault f -> Error (Faulted f))
+
+(* One instruction on the predecoded fetch: [step] without the hash
+   probes, for stepping off a break address on the serving path. With an
+   observer attached it is [step]. *)
+let step_fast t =
+  match t.observer with
+  | Some _ -> step t
+  | None ->
+      if t.halted then invalid_arg "Cpu.step: halted";
+      ignore (fast_loop t ~fuel:1 ~brk:t.rip ~multi:false ~at_break:never)
+
 let output t = Buffer.contents t.out
 
 let push_input t s = Queue.push s t.input
@@ -534,5 +580,4 @@ let push_input t s = Queue.push s t.input
 module Internal = struct
   let execute = execute
   let step_builtin = step_builtin
-  let predecoded = predecoded
 end

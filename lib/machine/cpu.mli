@@ -62,28 +62,35 @@ type t = {
   mutable btap : (t -> string -> unit) option;
       (** builtin-boundary tap ({!set_builtin_tap}); [None] (the default)
           costs nothing *)
-  mutable pdecode : Image.pslot array option;
-      (** predecoded text ({!Image.predecode}), built lazily on the first
-          fast-path {!run}; step-only uses (tracers, attack oracles) never
-          pay for it *)
   mutable tier3 : (t -> fuel:int -> run_result) option;
       (** the tier-3 JIT runner, installed by [Jit.attach] ({!set_tier3});
           [None] (the default) makes {!run} fall back to the fast
           interpreter tier *)
 }
 
-(** [create ?strict_align ?inject ~profile ~mem ~heap image ~rip ~rsp] —
-    registers zeroed except RSP. *)
+(** [create ?strict_align ?inject ?icache ~profile ~mem ~heap image ~rip
+    ~rsp] — registers zeroed except RSP. [?icache] reuses an instruction
+    cache (reset here, so it reads as a fresh one) built for the same
+    [profile]; by default a new one is made. *)
 val create :
   ?strict_align:bool ->
   ?inject:Inject.t ->
+  ?icache:Icache.t ->
   profile:Cost.profile -> mem:Mem.t -> heap:Heap.t -> Image.t -> rip:int -> rsp:int -> t
 
 val reg_get : t -> Insn.reg -> int
 val reg_set : t -> Insn.reg -> int -> unit
 
-(** [step t] executes one instruction. Raises {!Fault.Fault}. *)
+(** [step t] executes one instruction on the reference (hash-probing)
+    dispatch, firing the observer if one is attached. Raises
+    {!Fault.Fault}. *)
 val step : t -> unit
+
+(** [step_fast t] — {!step} on the predecoded fetch of the fast tier,
+    calling the injector's hooks in the same order; the serving path uses
+    it to step off a break address without building [Image.code]. With an
+    observer attached it is {!step}. Raises {!Fault.Fault}. *)
+val step_fast : t -> unit
 
 (** [set_observer t obs] attaches (or, with [None], detaches) the per-step
     hook. At most one observer slot exists; attaching replaces the previous
@@ -109,13 +116,14 @@ type builtin_tap = t -> string -> unit
     predecoded fast path. *)
 val set_builtin_tap : t -> builtin_tap option -> unit
 
-(** [run t ~fuel] steps until halt, fault, or [fuel] instructions. With no
-    observer and no injector attached it takes tier 3 (the template JIT,
-    when [Jit.attach] installed one) or else the predecoded fast path —
-    both contractually bit-identical to {!run_reference} in cycles, insns,
-    icache misses, faults, and output; an attached observer or injector
-    falls back to the reference dispatch (their attachment is a tier-3
-    deopt trigger). *)
+(** [run t ~fuel] steps until halt, fault, or [fuel] instructions. Tier
+    dispatch: an attached observer forces {!run_reference}, since it must
+    see every step. Otherwise tier 3 (the template JIT, when [Jit.attach]
+    installed one) runs when no injector is attached, and the predecoded
+    fast path runs in every other case, calling the injector's hooks
+    inline. All tiers are contractually bit-identical to {!run_reference}
+    in cycles, insns, icache misses, faults, output and injector
+    decisions. *)
 val run : t -> fuel:int -> run_result
 
 (** [set_tier3 t f] installs (or, with [None], removes) the tier-3 runner
@@ -131,8 +139,11 @@ val run_reference : t -> fuel:int -> run_result
 
 (** [run_until t ~fuel ~break] like {!run} but also stops (returning
     [Ok ()]) just before executing the instruction at an address in
-    [break]. Breakpoint membership is a hash probe, O(1) per step in the
-    number of breakpoints. *)
+    [break]. With no observer it runs on the predecoded fast path, with
+    the injector's hooks inline, whether or not an injector is attached;
+    a single break address costs one int compare per step and a list of
+    several one hash probe. With an observer it steps through {!step}.
+    It never enters tier 3. *)
 val run_until : t -> fuel:int -> break:int list -> (unit, run_result) result
 
 (** [output t] — program output so far. *)
@@ -150,9 +161,6 @@ module Internal : sig
   (** [step_builtin t name] — one intercepted library call, including the
       builtin tap and the implicit return. *)
   val step_builtin : t -> string -> unit
-
-  (** [predecoded t] — the cpu's lazily-built {!Image.predecode} table. *)
-  val predecoded : t -> Image.pslot array
 end
 
 (** [push_input t s] queues bytes for [read_input]. *)

@@ -5,6 +5,20 @@ type func_info = {
   is_booby_trap : bool;
 }
 
+(* Predecoded text: one dense array slot per text byte, so the fast-path
+   interpreter's fetch is a single bounds-checked array read instead of a
+   [builtin_addrs] probe followed by a [code] probe. Slots between
+   instruction starts stay [P_none] — jumping into the middle of an
+   instruction is an invalid opcode, exactly as [code_at] reports it. *)
+type pslot =
+  | P_none
+  | P_insn of Insn.t * int
+  | P_builtin of string
+
+(* What the machine derives from the text: the fetch table, and the text
+   segment's bytes as the loader writes them into memory. *)
+type decoded = { slots : pslot array; bytes : Bytes.t }
+
 type t = {
   code : (int, Insn.t * int) Hashtbl.t Lazy.t;
   code_list : (int * Insn.t * int) array Lazy.t;
@@ -26,6 +40,7 @@ type t = {
   checked_sites : (int, unit) Hashtbl.t;
   code_ptr_slots : (int, unit) Hashtbl.t Lazy.t;
   shadow_stack : bool;
+  decoded : decoded option Atomic.t;
 }
 
 let builtin_names =
@@ -138,22 +153,37 @@ let fingerprint img =
   List.iter int (sorted_of_tbl (Lazy.force img.code_ptr_slots) (fun k () -> k));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Predecoded text: one dense array slot per text byte, so the fast-path
-   interpreter's fetch is a single bounds-checked array read instead of a
-   [builtin_addrs] probe followed by a [code] probe. Slots between
-   instruction starts stay [P_none] — jumping into the middle of an
-   instruction is an invalid opcode, exactly as [code_at] reports it. *)
-type pslot =
-  | P_none
-  | P_insn of Insn.t * int
-  | P_builtin of string
-
-let predecode img =
-  let table = Array.make (max 1 img.text_len) P_none in
+let decode img =
+  let code_list = Lazy.force img.code_list in
+  let extent =
+    Array.fold_left
+      (fun m (addr, _, len) -> max m (addr - img.text_base + len))
+      img.text_len code_list
+  in
+  let slots = Array.make (max 1 img.text_len) P_none in
+  let bytes = Bytes.make extent '\000' in
   Array.iter
-    (fun (addr, insn, len) -> table.(addr - img.text_base) <- P_insn (insn, len))
-    (Lazy.force img.code_list);
-  Hashtbl.iter
-    (fun addr name -> table.(addr - img.text_base) <- P_builtin name)
-    img.builtin_addrs;
-  table
+    (fun (addr, insn, len) ->
+      let off = addr - img.text_base in
+      slots.(off) <- P_insn (insn, len);
+      for k = 0 to len - 1 do
+        Bytes.unsafe_set bytes (off + k) (Char.unsafe_chr (encode_byte insn k))
+      done)
+    code_list;
+  Hashtbl.iter (fun addr name -> slots.(addr - img.text_base) <- P_builtin name) img.builtin_addrs;
+  { slots; bytes }
+
+(* Built once per image and shared by every CPU that runs it, across the
+   fleet's domains: racing builders compute equal tables and all adopt
+   the one published first. *)
+let decoded img =
+  match Atomic.get img.decoded with
+  | Some d -> d
+  | None ->
+      let d = decode img in
+      if Atomic.compare_and_set img.decoded None (Some d) then d
+      else Option.get (Atomic.get img.decoded)
+
+let predecoded img = (decoded img).slots
+
+let text_bytes img = (decoded img).bytes

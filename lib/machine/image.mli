@@ -18,6 +18,19 @@ type func_info = {
   is_booby_trap : bool;
 }
 
+(** A predecoded text slot: what sits at one byte offset into the text
+    segment. [P_none] marks bytes that are not an instruction start
+    (padding, instruction interiors) — executing one is an invalid
+    opcode. *)
+type pslot =
+  | P_none
+  | P_insn of Insn.t * int  (** decoded instruction and byte length *)
+  | P_builtin of string  (** intercepted library entry *)
+
+(** The fetch table and the text bytes, derived together from
+    [code_list]. *)
+type decoded
+
 type t = {
   code : (int, Insn.t * int) Hashtbl.t Lazy.t;
       (** address -> decoded instruction and its layout-assigned byte
@@ -66,6 +79,9 @@ type t = {
           address (function-pointer tables, BTRA decoy arrays) — every
           other readable word resolving into text is a leak *)
   shadow_stack : bool;  (** run under backward-edge CFI (Section 8.2) *)
+  decoded : decoded option Atomic.t;
+      (** {!predecoded} and {!text_bytes} once built: [Atomic.make None]
+          in a new image, and in any copy whose [code_list] differs *)
 }
 
 (** Intercepted library functions ("unprotected code" in the paper's
@@ -99,17 +115,18 @@ val encode_byte : Insn.t -> int -> int
     incremental-rerandomization pipeline is gated on. *)
 val fingerprint : t -> string
 
-(** A predecoded text slot: what sits at one byte offset into the text
-    segment. [P_none] marks bytes that are not an instruction start
-    (padding, instruction interiors) — executing one is an invalid
-    opcode. *)
-type pslot =
-  | P_none
-  | P_insn of Insn.t * int  (** decoded instruction and byte length *)
-  | P_builtin of string  (** intercepted library entry *)
+(** [predecoded img] — the dense fetch table for the fast-path
+    interpreter, indexed by [addr - text_base] over [\[0, text_len)]. One
+    O(1) array read replaces the per-step [builtin_addrs] + [code] hash
+    probes; the result agrees with [code_at]/[is_builtin] at every
+    address. Built on first use (of it or {!text_bytes}) and kept in the
+    image, so every CPU running [img] shares one table; safe to call from
+    several domains at once. *)
+val predecoded : t -> pslot array
 
-(** [predecode img] — the dense fetch table for the fast-path interpreter,
-    indexed by [addr - text_base] over [\[0, text_len)]. One O(1) array
-    read replaces the per-step [builtin_addrs] + [code] hash probes; the
-    result agrees with [code_at]/[is_builtin] at every address. *)
-val predecode : t -> pslot array
+(** [text_bytes img] — the text segment's pseudo-encoded bytes
+    ({!encode_byte}) from [text_base] on, zero between instructions: what
+    the loader copies into text memory. Built and kept like
+    {!predecoded}, and shared with every loader of [img]: never modify
+    it. *)
+val text_bytes : t -> Bytes.t

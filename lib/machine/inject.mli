@@ -43,7 +43,15 @@ val rates : t -> rates
 (** [counters t] — how many of each injection actually fired so far. *)
 val counters : t -> counters
 
-(** Hooks, called by the machine. *)
+(** [rng t] — a copy of the injector's stream at the position drawing
+    every decision one by one would have left it in; the next raw draw
+    of the copy is the next one a hook would see. For tests. *)
+val rng : t -> R2c_util.Rng.t
+
+(** Hooks, called by the machine. Each decision is a Bernoulli draw from
+    the stream, but a run of draws a look-ahead scan has found to miss
+    costs one subtraction per hook instead of a draw: results, counters
+    and the stream position equal those of drawing every time. *)
 
 (** [on_step t ~mem ~rip] — before instruction dispatch: may flip a random
     bit in a random writable mapped page, and may raise

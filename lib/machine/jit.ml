@@ -12,7 +12,8 @@
    call, a transfer out of the compiled region, or a deopt on an
    instruction the template compiler does not handle (unresolved symbols).
    Observer and injector attachment deopt one level higher: [Cpu.run]
-   routes those to the reference tier before tier 3 is ever consulted.
+   routes an observed CPU to the reference tier and an injected one to
+   the fast interpreter before tier 3 is ever consulted.
 
    The bit-identicality contract is absolute: every cycle is accumulated by
    the same float additions in the same order as [Cpu.execute], base costs
@@ -170,8 +171,8 @@ let ev_mem (m : Insn.mem_operand) : ctx -> int =
         Array.unsafe_get c.regs bi + (Array.unsafe_get c.regs ri * sf) + d
 
 (* Operand evaluators return (closure, can-fault). The injector hook in
-   [Cpu.eval_op] is an identity here: injector attachment forces the
-   reference tier, so compiled code never coexists with one. *)
+   [Cpu.eval_op] is an identity here: an attached injector keeps [Cpu.run]
+   off tier 3, so compiled code never runs with one. *)
 let ev_op (o : Insn.operand) : (ctx -> int) * bool =
   match o with
   | Insn.Imm i ->
@@ -805,7 +806,7 @@ let func_covering cache addr =
 let try_compile j fidx =
   let cache = j.cache in
   let fi = cache.funcs.(fidx) in
-  let pd = Cpu.Internal.predecoded j.cpu in
+  let pd = Image.predecoded j.cpu.Cpu.image in
   let insns = scan_body pd ~base:cache.base fi in
   if insns = [] then cache.nocompile.(fidx) <- true
   else begin
@@ -1003,7 +1004,7 @@ let run j ~fuel =
     build_state cache j.cpu.Cpu.image
   end
   else if Array.length cache.slot = 0 then build_state cache j.cpu.Cpu.image;
-  let pd = Cpu.Internal.predecoded j.cpu in
+  let pd = Image.predecoded j.cpu.Cpu.image in
   try go j pd fuel with Fault.Fault f -> Cpu.Faulted f
 
 (* ------------------------------------------------------------------ *)

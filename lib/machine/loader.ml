@@ -1,18 +1,18 @@
-let materialize_text mem (img : Image.t) =
-  Array.iter
-    (fun (addr, insn, len) ->
-      for k = 0 to len - 1 do
-        Mem.write_u8 mem (addr + k) (Image.encode_byte insn k)
-      done)
-    (Lazy.force img.Image.code_list)
-
-let load ?(strict_align = false) ?inject ?jit ?jit_cache ~profile (img : Image.t) =
-  let mem = Mem.create () in
-  (* Text: filled while writable, then sealed. *)
+let load ?(strict_align = false) ?inject ?jit ?jit_cache ?reuse ~profile (img : Image.t) =
+  (* In-place restart: the previous incarnation's memory and icache, when
+     it ran this image under this profile, are wiped and refilled rather
+     than reallocated. *)
+  let mem, icache =
+    match reuse with
+    | Some (old : Cpu.t) when old.Cpu.image == img && old.Cpu.profile == profile ->
+        Mem.recycle old.Cpu.mem;
+        (old.Cpu.mem, Some old.Cpu.icache)
+    | _ -> (Mem.create (), None)
+  in
+  (* Text: mapped sealed, its bytes copied in past the permissions. *)
   let text_len = Addr.align_up (max img.Image.text_len Addr.page_size) ~align:Addr.page_size in
-  Mem.map mem img.Image.text_base text_len Perm.rw;
-  materialize_text mem img;
-  Mem.protect mem img.Image.text_base text_len img.Image.text_perm;
+  Mem.map mem img.Image.text_base text_len img.Image.text_perm;
+  Mem.poke_bytes mem img.Image.text_base (Image.text_bytes img);
   (* Data. *)
   let data_len = Addr.align_up (max img.Image.data_len Addr.page_size) ~align:Addr.page_size in
   Mem.map mem img.Image.data_base data_len Perm.rw;
@@ -27,11 +27,12 @@ let load ?(strict_align = false) ?inject ?jit ?jit_cache ~profile (img : Image.t
   assert (rsp land 15 = 0);
   let heap = Heap.create mem ~base:img.Image.heap_base in
   let cpu =
-    Cpu.create ~strict_align ?inject ~profile ~mem ~heap img ~rip:img.Image.entry ~rsp
+    Cpu.create ~strict_align ?inject ?icache ~profile ~mem ~heap img ~rip:img.Image.entry ~rsp
   in
-  (* Tier-3 JIT: on by default (R2C_JIT=0 disables fleet-wide). An
-     attached injector forces the reference tier anyway, so attaching a
-     JIT under injection would only waste the cache. *)
+  (* Tier-3 JIT: on by default (R2C_JIT=0 disables fleet-wide). Compiled
+     code calls no injector hooks, so [Cpu.run] keeps an injected CPU on
+     the fast interpreter and attaching a JIT would only waste the
+     cache. *)
   let want = match jit with Some b -> b | None -> Jit.enabled () in
   if want && Option.is_none inject then ignore (Jit.attach ?cache:jit_cache cpu);
   cpu

@@ -1,8 +1,14 @@
 type page = {
   mutable perm : Perm.t;
   mutable guard : bool;
-  data : Bytes.t;
+  mutable data : Bytes.t;  (* [zero_page] until the first write *)
 }
+
+(* Demand-zero paging: [map] points every new page at this one shared,
+   all-zero buffer, and a page gets a buffer of its own only when it is
+   first written. [zero_page] itself is never written, so domains may
+   share it. *)
+let zero_page = Bytes.make Addr.page_size '\000'
 
 (* Direct-mapped software TLB. Each slot caches one page's data bytes plus
    its *decoded* permission bits, so the hot accessors never chase the
@@ -10,7 +16,9 @@ type page = {
    copied out, every in-place page mutation — [map], [unmap], and crucially
    [protect]/[tag_guard], which change [perm]/[guard] without touching the
    page table — must invalidate the TLB or a read could be served under a
-   permission that no longer exists. *)
+   permission that no longer exists. [e_write] is set only for a page that
+   owns its buffer: the first write to a demand-zero page takes the
+   not-allowed branch of [checked_entry], which gives it one. *)
 type tlb_entry = {
   mutable e_index : int;  (* cached page index; -1 = invalid *)
   mutable e_data : Bytes.t;
@@ -27,24 +35,32 @@ type t = {
   pages : (int, page) Hashtbl.t;
   tlb : tlb_entry array;
   mutable max_resident : int;
+  mutable spare : Bytes.t list;  (* buffers of a recycled page table *)
 }
 
 let no_bytes = Bytes.create 0
 
+let empty_entry () =
+  {
+    e_index = -1;
+    e_data = no_bytes;
+    e_read = false;
+    e_write = false;
+    e_exec = false;
+    e_guard = false;
+  }
+
+(* What [tlb_lookup] returns for an unmapped page: no access of any kind,
+   not a guard, so every checked access faults as a plain Segv. Never
+   written. *)
+let no_access = empty_entry ()
+
 let create () =
   {
     pages = Hashtbl.create 1024;
-    tlb =
-      Array.init tlb_slots (fun _ ->
-          {
-            e_index = -1;
-            e_data = no_bytes;
-            e_read = false;
-            e_write = false;
-            e_exec = false;
-            e_guard = false;
-          });
+    tlb = Array.init tlb_slots (fun _ -> empty_entry ());
     max_resident = 0;
+    spare = [];
   }
 
 let tlb_invalidate t =
@@ -52,23 +68,40 @@ let tlb_invalidate t =
     t.tlb.(i).e_index <- -1
   done
 
+let refill e index p =
+  e.e_index <- index;
+  e.e_data <- p.data;
+  e.e_read <- p.perm.Perm.read;
+  e.e_write <- p.perm.Perm.write && p.data != zero_page;
+  e.e_exec <- p.perm.Perm.exec;
+  e.e_guard <- p.guard
+
 (* Miss path: probe the page table and refill the direct-mapped slot. *)
 let tlb_fill t index =
   match Hashtbl.find_opt t.pages index with
-  | None -> None
+  | None -> no_access
   | Some p ->
       let e = t.tlb.(index land tlb_mask) in
-      e.e_index <- index;
-      e.e_data <- p.data;
-      e.e_read <- p.perm.Perm.read;
-      e.e_write <- p.perm.Perm.write;
-      e.e_exec <- p.perm.Perm.exec;
-      e.e_guard <- p.guard;
-      Some e
+      refill e index p;
+      e
 
 let tlb_lookup t index =
   let e = t.tlb.(index land tlb_mask) in
-  if e.e_index = index then Some e else tlb_fill t index
+  if e.e_index = index then e else tlb_fill t index
+
+(* Give a demand-zero page a buffer of its own (a recycled one, zeroed,
+   when there is one) and refresh its TLB slot if it is cached there. *)
+let materialize t index p =
+  if p.data == zero_page then begin
+    (match t.spare with
+    | b :: rest ->
+        t.spare <- rest;
+        Bytes.fill b 0 Addr.page_size '\000';
+        p.data <- b
+    | [] -> p.data <- Bytes.make Addr.page_size '\000');
+    let e = t.tlb.(index land tlb_mask) in
+    if e.e_index = index then refill e index p
+  end
 
 let find_page t index = Hashtbl.find_opt t.pages index
 
@@ -81,8 +114,7 @@ let map t addr len perm =
   for i = first to last do
     if Hashtbl.mem t.pages i then
       invalid_arg (Printf.sprintf "Mem.map: page 0x%x already mapped" (i lsl Addr.page_shift));
-    Hashtbl.replace t.pages i
-      { perm; guard = false; data = Bytes.make Addr.page_size '\000' }
+    Hashtbl.replace t.pages i { perm; guard = false; data = zero_page }
   done;
   tlb_invalidate t;
   t.max_resident <- max t.max_resident (Hashtbl.length t.pages)
@@ -90,9 +122,18 @@ let map t addr len perm =
 let unmap t addr len =
   let first, last = page_range addr len in
   for i = first to last do
+    (match Hashtbl.find_opt t.pages i with
+    | Some p when p.data != zero_page -> t.spare <- p.data :: t.spare
+    | _ -> ());
     Hashtbl.remove t.pages i
   done;
   tlb_invalidate t
+
+let recycle t =
+  Hashtbl.iter (fun _ p -> if p.data != zero_page then t.spare <- p.data :: t.spare) t.pages;
+  Hashtbl.clear t.pages;
+  tlb_invalidate t;
+  t.max_resident <- 0
 
 let protect t addr len perm =
   let first, last = page_range addr len in
@@ -124,26 +165,33 @@ let fault_access addr access guard =
   if guard then Fault.raise_fault (Guard_page { addr; access })
   else Fault.raise_fault (Segv { addr; access })
 
+(* The not-allowed branch: a first write to a writable demand-zero page
+   materializes it and goes ahead; anything else faults as it always
+   has. *)
+let denied t index addr (access : Fault.access) e =
+  match (access, Hashtbl.find_opt t.pages index) with
+  | Write, Some p when p.perm.Perm.write && p.data == zero_page ->
+      materialize t index p;
+      tlb_lookup t index
+  | _ -> fault_access addr access e.e_guard
+
 let checked_entry t addr (access : Fault.access) =
-  match tlb_lookup t (Addr.page_of addr) with
-  | None -> Fault.raise_fault (Segv { addr; access })
-  | Some e ->
-      let allowed =
-        match access with
-        | Read -> e.e_read
-        | Write -> e.e_write
-        | Exec -> e.e_exec
-      in
-      if not allowed then fault_access addr access e.e_guard;
-      e
+  let index = Addr.page_of addr in
+  let e = tlb_lookup t index in
+  let allowed =
+    match access with
+    | Read -> e.e_read
+    | Write -> e.e_write
+    | Exec -> e.e_exec
+  in
+  if allowed then e else denied t index addr access e
 
 (* The interpreter's per-fetch exec probe. Matches the historical
    [perm_at]-based check bit for bit: an exec violation is always a plain
    SIGSEGV, never a guard-page detection, even on a tagged page. *)
 let check_exec t addr =
-  match tlb_lookup t (Addr.page_of addr) with
-  | Some e when e.e_exec -> ()
-  | Some _ | None -> Fault.raise_fault (Segv { addr; access = Exec })
+  if not (tlb_lookup t (Addr.page_of addr)).e_exec then
+    Fault.raise_fault (Segv { addr; access = Exec })
 
 let read_u8 t addr =
   let e = checked_entry t addr Read in
@@ -226,18 +274,41 @@ let peek_u64 t addr =
   end
 
 let poke_u64 t addr v =
-  match find_page t (Addr.page_of addr) with
+  let index = Addr.page_of addr in
+  match find_page t index with
   | None -> invalid_arg (Printf.sprintf "Mem.poke_u64: 0x%x unmapped" addr)
   | Some p ->
       let off = Addr.page_offset addr in
-      if off <= Addr.page_size - 8 then Bytes.set_int64_le p.data off (Int64.of_int v)
+      if off <= Addr.page_size - 8 then begin
+        materialize t index p;
+        Bytes.set_int64_le p.data off (Int64.of_int v)
+      end
       else
         for i = 0 to 7 do
           let b = (v lsr (8 * i)) land 0xff in
-          match find_page t (Addr.page_of (addr + i)) with
-          | Some q -> Bytes.unsafe_set q.data (Addr.page_offset (addr + i)) (Char.chr b)
+          let qi = Addr.page_of (addr + i) in
+          match find_page t qi with
+          | Some q ->
+              materialize t qi q;
+              Bytes.unsafe_set q.data (Addr.page_offset (addr + i)) (Char.chr b)
           | None -> invalid_arg "Mem.poke_u64: crosses unmapped page"
         done
+
+let poke_bytes t addr b =
+  let len = Bytes.length b in
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let index = Addr.page_of a in
+    match find_page t index with
+    | None -> invalid_arg (Printf.sprintf "Mem.poke_bytes: 0x%x unmapped" a)
+    | Some p ->
+        materialize t index p;
+        let off = Addr.page_offset a in
+        let n = min (len - !pos) (Addr.page_size - off) in
+        Bytes.blit b !pos p.data off n;
+        pos := !pos + n
+  done
 
 let writable_page_addrs t =
   Hashtbl.fold
@@ -246,9 +317,11 @@ let writable_page_addrs t =
   |> List.sort compare
 
 let flip_bit t ~addr ~bit =
-  match find_page t (Addr.page_of addr) with
+  let index = Addr.page_of addr in
+  match find_page t index with
   | None -> invalid_arg (Printf.sprintf "Mem.flip_bit: 0x%x unmapped" addr)
   | Some p ->
+      materialize t index p;
       let off = Addr.page_offset addr in
       let c = Char.code (Bytes.unsafe_get p.data off) in
       Bytes.unsafe_set p.data off (Char.unsafe_chr (c lxor (1 lsl (bit land 7))))

@@ -9,7 +9,8 @@
     Checked accesses are served through a small direct-mapped software TLB
     caching each hot page's bytes and decoded permission bits; [map],
     [unmap], {!protect} and {!tag_guard} all invalidate it, so an in-place
-    permission change is visible on the very next access.
+    permission change is visible on the very next access. Pages are
+    demand-zero: a mapped page owns a buffer only once it is written.
 
     All checked accessors raise {!Fault.Fault}. The [peek]/[poke] variants
     ignore permissions — they model the defender/experimenter's view (e.g.
@@ -20,11 +21,20 @@ type t
 val create : unit -> t
 
 (** [map t addr len perm] maps the pages covering [\[addr, addr+len)],
-    zero-filled. Remapping an already-mapped page is an error. *)
+    zero-filled. Remapping an already-mapped page is an error. New pages
+    are demand-zero: they share one read-only zero buffer until their
+    first write (checked, [poke_u64] or [flip_bit]) gives them their
+    own. *)
 val map : t -> int -> int -> Perm.t -> unit
 
 (** [unmap t addr len] removes the covered pages. *)
 val unmap : t -> int -> int -> unit
+
+(** [recycle t] unmaps every page and resets the high-water mark: [t] is
+    then observationally a fresh {!create}. The pages' buffers are kept
+    and handed, zero-filled, to later first writes, so reloading an image
+    into [t] allocates nothing for the pages it had before. *)
+val recycle : t -> unit
 
 (** [protect t addr len perm] changes permissions of covered (mapped)
     pages. *)
@@ -61,6 +71,11 @@ val write_bytes : t -> int -> bytes -> unit
 val peek_u64 : t -> int -> int option
 val peek_u8 : t -> int -> int option
 val poke_u64 : t -> int -> int -> unit
+
+(** [poke_bytes t addr b] — permission-free copy of [b] to [addr], a page
+    at a time; every covered page must be mapped. The loader's text
+    fill. *)
+val poke_bytes : t -> int -> bytes -> unit
 
 (** [writable_page_addrs t] — base addresses of writable mapped pages
     (heap, stack, data), sorted; the chaos injector's bit-flip target

@@ -77,10 +77,13 @@ let run_until ?fuel t ~break =
       record_fault t f;
       `Done (Crashed f)
 
+(* In place: the dead incarnation's memory and icache are recycled into
+   the new one, so the old [Cpu.t] must not be used again; callers read
+   [t.cpu] afresh after a restart. *)
 let restart t =
   t.cpu <-
     Loader.load ~strict_align:t.strict_align ?inject:t.inject ~jit:t.jit
-      ?jit_cache:t.jit_cache ~profile:t.profile t.image;
+      ?jit_cache:t.jit_cache ~reuse:t.cpu ~profile:t.profile t.image;
   (* A respawned worker gets the full fuel budget again, exactly as a
      [start]ed one does. *)
   t.fuel_left <- t.fuel;

@@ -35,8 +35,8 @@ type t = {
     image; nothing runs yet. Default profile {!Cost.epyc_rome}, default
     fuel 50M instructions, strict alignment off, no injection. [?jit]
     (default {!Jit.enabled}) attaches the tier-3 JIT with a per-process
-    code cache; an injector disables it (injection already forces the
-    reference tier). *)
+    code cache; an injector disables it (compiled code calls no injector
+    hooks, so an injected process runs on the fast interpreter). *)
 val start :
   ?profile:Cost.profile -> ?fuel:int -> ?strict_align:bool -> ?inject:Inject.t ->
   ?jit:bool -> Image.t -> t
@@ -53,7 +53,10 @@ val run_until : ?fuel:int -> t -> break:int list -> [ `Hit | `Done of outcome ]
 
 (** [restart t] — fresh CPU and memory from the same image, and a full
     fuel budget (consistent with [start]). Input queue and output start
-    empty; detection history is preserved. *)
+    empty; detection history is preserved. The restart is in place: the
+    old CPU's memory and icache are recycled into the new one
+    ([Loader.load ~reuse]), so a [Cpu.t] read from [t.cpu] before the
+    restart must not be used after it. *)
 val restart : t -> unit
 
 val outcome_to_string : outcome -> string

@@ -426,8 +426,6 @@ let charge_cycles t w cyc0 =
   t.clock <- t.clock + d;
   d
 
-let line_count s = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
-
 let serve_on t w payload =
   let cyc0 = Process.cycles w.proc in
   let warm =
@@ -442,8 +440,15 @@ let serve_on t w payload =
   (* Response size is client-visible: [lines] is what the worker printed
      while handling this request (from after warmup up to — for a crash —
      the point of death). Blind ROP's stop-gadget test reads it. *)
-  let lines0 = line_count (Process.output w.proc) in
-  let lines () = line_count (Process.output w.proc) - lines0 in
+  let out = w.proc.Process.cpu.Cpu.out in
+  let off = Buffer.length out in
+  let lines () =
+    let n = ref 0 in
+    for i = off to Buffer.length out - 1 do
+      if Buffer.nth out i = '\n' then incr n
+    done;
+    !n
+  in
   let fail_crash f =
     let l = lines () in
     ignore (charge_cycles t w cyc0);
@@ -473,7 +478,8 @@ let serve_on t w payload =
          let corrupted state park unexercised. *)
       let advance () =
         match
-          if w.proc.Process.cpu.Cpu.rip = w.break_addr then Cpu.step w.proc.Process.cpu
+          if w.proc.Process.cpu.Cpu.rip = w.break_addr then
+            Cpu.step_fast w.proc.Process.cpu
         with
         | exception Fault.Fault f -> `Done (Process.Crashed f)
         | () -> (

@@ -1,4 +1,8 @@
-(* Fixed-size Domain pool with deterministic task->result ordering.
+(* Fork-join parallel map over Domains, with deterministic task->result
+   ordering. There is no standing pool: each [map] spawns up to
+   [jobs - 1] fresh domains, runs them alongside the calling domain and
+   joins them before returning, so a call pays domain start-up and
+   suits coarse items.
 
    Work items are claimed through one atomic counter (dynamic load
    balancing — cheap items do not pin a domain while an expensive one

@@ -1,5 +1,8 @@
-(** Fixed-size Domain pool for embarrassingly parallel experiment
-    fan-out, with deterministic task->result ordering.
+(** Fork-join parallel map over Domains for embarrassingly parallel
+    experiment fan-out, with deterministic task->result ordering. There
+    is no standing pool: each call spawns up to [jobs - 1] fresh domains
+    (the calling domain is the other worker) and joins them before it
+    returns, so every call pays domain start-up; items should be coarse.
 
     [map f xs] equals [List.map f xs] observably — same results, same
     order, first (lowest-index) exception re-raised — while claiming
@@ -11,7 +14,7 @@
     fewer than two items) everything runs serially in the calling
     domain, so single-core runners take exactly the historical code
     path. A [map] issued from inside another [map]'s task body also
-    degrades to serial instead of nesting domain pools. *)
+    degrades to serial instead of spawning domains from domains. *)
 
 (** Effective default worker count: [$R2C_JOBS] when set to a positive
     integer, else [Domain.recommended_domain_count ()]. *)

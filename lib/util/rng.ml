@@ -8,7 +8,7 @@ let copy t = { state = t.state }
    constant walk plus a finalizing mix. *)
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -16,6 +16,29 @@ let mix64 z =
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
+
+(* The state is a counter: the n-th draw from now mixes [state + n*gamma],
+   so skipping n draws is one multiply-add (wrapping, like the walk). *)
+let advance t n =
+  if n > 0 then t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden_gamma)
+
+(* [float t 1.0] is [bits / 2^53] with [bits] the top 53 bits of a draw:
+   an exact float, so [float t 1.0 < p] holds iff [bits < ceil (p * 2^53)]
+   ([p * 2^53] is exact too, a power-of-two scaling). The scan stays in
+   int64 locals and never touches [t]: no allocation per draw. *)
+let float_run_at_least t p ~cap =
+  if p > 1.0 then 0 (* every draw is below [p] *)
+  else if not (p > 0.0) then max 0 cap (* none is: 0, negative or nan *)
+  else begin
+    let threshold = Int64.of_float (Float.ceil (p *. 9007199254740992.0)) in
+    let s = ref t.state and n = ref 0 and stop = ref false in
+    while (not !stop) && !n < cap do
+      s := Int64.add !s golden_gamma;
+      if Int64.compare (Int64.shift_right_logical (mix64 !s) 11) threshold < 0 then stop := true
+      else incr n
+    done;
+    !n
+  end
 
 let split t =
   let s = int64 t in

@@ -24,6 +24,17 @@ val split : t -> t
 (** [int64 t] returns the next raw 64-bit output. *)
 val int64 : t -> int64
 
+(** [advance t n] skips the next [n] draws in O(1): afterwards [t] is in
+    the state [n] calls of {!int64} would have left it in. [n <= 0] is a
+    no-op. *)
+val advance : t -> int -> unit
+
+(** [float_run_at_least t p ~cap] — how many of the upcoming draws, in
+    order, would each make [float t 1.0 >= p]: the length of that run,
+    stopping at the first draw below [p] or at [cap]. Does not advance
+    [t] and allocates nothing per draw scanned. *)
+val float_run_at_least : t -> float -> cap:int -> int
+
 (** [int t bound] returns a uniform integer in [\[0, bound)]. [bound] must be
     positive. *)
 val int : t -> int -> int

@@ -81,6 +81,43 @@ let test_float_bounds () =
     Alcotest.(check bool) "in [0,2.5)" true (v >= 0.0 && v < 2.5)
   done
 
+(* Skipping n draws in one step lands where n draws would. *)
+let test_advance () =
+  List.iter
+    (fun n ->
+      let a = Rng.create 31 and b = Rng.create 31 in
+      for _ = 1 to n do
+        ignore (Rng.int64 a)
+      done;
+      Rng.advance b n;
+      Alcotest.(check int64) (Printf.sprintf "after %d" n) (Rng.int64 a) (Rng.int64 b))
+    [ 0; 1; 2; 17; 1000; 123_457 ];
+  let a = Rng.create 5 and b = Rng.create 5 in
+  Rng.advance b (-3);
+  Alcotest.(check int64) "negative is a no-op" (Rng.int64 a) (Rng.int64 b)
+
+(* The look-ahead scan agrees with drawing [float t 1.0] one by one, and
+   leaves the generator where it was. *)
+let test_float_run_at_least () =
+  List.iter
+    (fun (seed, p, cap) ->
+      let t = Rng.create seed in
+      let naive =
+        let c = Rng.copy t in
+        let rec go n = if n >= cap || Rng.float c 1.0 < p then n else go (n + 1) in
+        go 0
+      in
+      let before = Rng.copy t in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d p %g cap %d" seed p cap)
+        naive
+        (Rng.float_run_at_least t p ~cap);
+      Alcotest.(check int64) "not advanced" (Rng.int64 before) (Rng.int64 t))
+    [
+      (1, 0.5, 100); (2, 0.01, 10_000); (3, 1e-4, 100_000); (4, 1.0, 10); (5, 1e-6, 50);
+      (6, 0.3, 0); (7, 2.0, 10); (8, Float.nan, 10); (9, 0.0, 10); (10, Float.neg_infinity, 10);
+    ]
+
 let suite =
   [
     ( "rng",
@@ -96,5 +133,7 @@ let suite =
         Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
         Alcotest.test_case "choose uniformity" `Quick test_choose_uniformity;
         Alcotest.test_case "float bounds" `Quick test_float_bounds;
+        Alcotest.test_case "advance = n draws" `Quick test_advance;
+        Alcotest.test_case "float run scan = draw by draw" `Quick test_float_run_at_least;
       ] );
   ]
